@@ -82,7 +82,7 @@ pub const CATALOG: [RuleDef; 11] = [
                     enforces the same table dynamically under the chaos gates",
         allow: "// lint:allow(TM-L006): <why this acquisition order is safe>",
         example:
-            "let q = self.queue_rx.lock();\nlet m = self.model.read(); // rank 10 under rank 20",
+            "let p = self.permits.lock();\nlet m = self.model.read(); // rank 10 under rank 20",
     },
     RuleDef {
         id: "TM-L007",

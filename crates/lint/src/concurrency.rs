@@ -603,14 +603,14 @@ mod tests {
     fn l006_inversion_under_guard_let() {
         let src = "impl Server {\n\
                    \x20   fn f(&self) {\n\
-                   \x20       let q = self.queue_rx.lock();\n\
+                   \x20       let p = self.permits.lock();\n\
                    \x20       let m = self.model.read();\n\
-                   \x20       drop((q, m));\n\
+                   \x20       drop((p, m));\n\
                    \x20   }\n\
                    }\n";
         let v = lint("crates/serve/src/server.rs", src);
         assert!(v.iter().any(|v| v.rule == "TM-L006" && v.message.contains("inversion")), "{v:?}");
-        assert!(v[0].message.contains("serve.model") && v[0].message.contains("serve.queue_rx"));
+        assert!(v[0].message.contains("serve.model") && v[0].message.contains("serve.permits"));
     }
 
     #[test]
@@ -618,11 +618,11 @@ mod tests {
         let src = "impl Server {\n\
                    \x20   fn f(&self) {\n\
                    \x20       let m = self.model.read();\n\
-                   \x20       let q = self.queue_rx.lock();\n\
-                   \x20       drop((m, q));\n\
+                   \x20       let p = self.permits.lock();\n\
+                   \x20       drop((m, p));\n\
                    \x20   }\n\
                    \x20   fn g(&self) {\n\
-                   \x20       self.queue_rx.lock().try_recv().ok();\n\
+                   \x20       self.permits.lock().checked_sub(1);\n\
                    \x20       self.model.read().len();\n\
                    \x20   }\n\
                    }\n";
@@ -634,7 +634,7 @@ mod tests {
     fn l006_scrutinee_temporary_holds_through_body() {
         let src = "impl Server {\n\
                    \x20   fn f(&self) {\n\
-                   \x20       while let Ok(_job) = self.queue_rx.lock().try_recv() {\n\
+                   \x20       while let Some(_free) = self.permits.lock().checked_sub(1) {\n\
                    \x20           let _m = self.model.read();\n\
                    \x20       }\n\
                    \x20   }\n\
@@ -650,8 +650,8 @@ mod tests {
     fn l006_same_lock_reacquired_is_flagged() {
         let src = "impl Server {\n\
                    \x20   fn f(&self) {\n\
-                   \x20       let a = self.queue_rx.lock();\n\
-                   \x20       let b = self.queue_rx.lock();\n\
+                   \x20       let a = self.permits.lock();\n\
+                   \x20       let b = self.permits.lock();\n\
                    \x20       drop((a, b));\n\
                    \x20   }\n\
                    }\n";

@@ -139,10 +139,10 @@ pub const LOCK_ORDER: [LockDef; 9] = [
         kind: LockKind::RwLock,
     },
     LockDef {
-        id: "serve.queue_rx",
+        id: "serve.permits",
         rank: 20,
         file: "crates/serve/src/server.rs",
-        field: "queue_rx",
+        field: "permits",
         kind: LockKind::Mutex,
     },
     LockDef {

@@ -53,7 +53,7 @@ pub const SPAN_BENCH_SERVE: &str = "bench.serve";
 
 // --- spans: serve path --------------------------------------------------
 
-/// One admitted request's classify work on a serve worker thread.
+/// One admitted request's classify work on its connection thread.
 pub const SPAN_SERVE_CLASSIFY: &str = "serve.classify";
 
 // --- spans: eval harness ----------------------------------------------
@@ -129,7 +129,7 @@ pub const SHARD_QUARANTINED_PREFIX: &str = "shard.quarantined.";
 pub const CHECKPOINT_WRITTEN: &str = "checkpoint.written";
 /// Checkpoint files quarantined during a resume scan.
 pub const CHECKPOINT_QUARANTINED: &str = "checkpoint.quarantined";
-/// Requests admitted into the serve queue (well-formed and accepted).
+/// Requests admitted to wait for a classify permit (well-formed and accepted).
 pub const SERVE_REQUESTS: &str = "serve.requests";
 /// Per-reason serve rejection family: `serve.rejected.<reason>` where
 /// `<reason>` is a `Status::as_str` value (`overloaded`,
@@ -183,9 +183,9 @@ pub const BENCH_TRAIN_PAIRS_PER_SEC: &str = "bench.train.pairs_per_sec";
 pub const BENCH_INGEST_ROWS_PER_SEC: &str = "bench.ingest.rows_per_sec";
 /// Bench harness: serve request throughput of the most recent run.
 pub const BENCH_SERVE_REQUESTS_PER_SEC: &str = "bench.serve.requests_per_sec";
-/// Current depth of the serve admission queue.
+/// Admitted serve requests currently waiting for a classify permit.
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-/// Requests currently being classified by serve workers.
+/// Serve requests currently classifying, each holding a permit.
 pub const SERVE_IN_FLIGHT: &str = "serve.in_flight";
 /// Live heap bytes from the counting allocator (0 when not installed).
 pub const MEM_CURRENT_BYTES: &str = "mem.current_bytes";
@@ -201,7 +201,7 @@ pub const EMBED_SENTENCE_LEN: &str = "embed.sentence_len";
 pub const CLASSIFIER_BOUNDARY_DEPTH: &str = "classifier.boundary_depth";
 /// Bench harness: per-table classify latency distribution.
 pub const BENCH_CLASSIFY_TABLE_MICROS: &str = "bench.classify.table_micros";
-/// Serve request latency (enqueue to response ready), queue wait
+/// Serve request latency (admission to response ready), permit wait
 /// included; p50/p90/p99 come from the histogram quantiles.
 pub const SERVE_REQUEST_MICROS: &str = "serve.request_micros";
 
@@ -388,7 +388,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Span,
         unit: "µs",
         stage: "serve",
-        doc: "One admitted request's classify work on a serve worker thread",
+        doc: "One admitted request's classify work on its connection thread",
     },
     // Spans — eval harness.
     MetricDef {
@@ -622,7 +622,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Counter,
         unit: "requests",
         stage: "serve",
-        doc: "Requests admitted into the serve queue",
+        doc: "Requests admitted to wait for a classify permit",
     },
     MetricDef {
         name: SERVE_REJECTED_PREFIX,
@@ -791,7 +791,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Gauge,
         unit: "requests",
         stage: "serve",
-        doc: "Current depth of the serve admission queue",
+        doc: "Admitted requests currently waiting for a classify permit",
     },
     MetricDef {
         name: SERVE_IN_FLIGHT,
@@ -799,7 +799,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Gauge,
         unit: "requests",
         stage: "serve",
-        doc: "Requests currently being classified by serve workers",
+        doc: "Requests currently classifying, each holding a classify permit",
     },
     MetricDef {
         name: MEM_CURRENT_BYTES,
@@ -848,7 +848,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Histogram,
         unit: "µs",
         stage: "serve",
-        doc: "Request latency from enqueue to response ready, queue wait included",
+        doc: "Request latency from admission to response ready, permit wait included",
     },
 ];
 

@@ -143,18 +143,18 @@ impl Timeline {
         if !self.is_enabled() {
             return false;
         }
-        let event = TraceEvent {
-            ts_micros: self.now_micros(),
-            kind: EventKind::Open,
-            path: path.to_string(),
-            thread: current_thread_id(),
-        };
         let mut buf = self.buffer.lock();
         if buf.events.len() >= buf.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        buf.events.push(event);
+        // Stamped under the lock, so buffer order is timestamp order.
+        buf.events.push(TraceEvent {
+            ts_micros: self.now_micros(),
+            kind: EventKind::Open,
+            path: path.to_string(),
+            thread: current_thread_id(),
+        });
         true
     }
 
@@ -165,13 +165,14 @@ impl Timeline {
         if !admitted {
             return;
         }
-        let event = TraceEvent {
+        // Stamped under the lock, so buffer order is timestamp order.
+        let mut buf = self.buffer.lock();
+        buf.events.push(TraceEvent {
             ts_micros: self.now_micros(),
             kind: EventKind::Close,
             path: path.to_string(),
             thread: current_thread_id(),
-        };
-        self.buffer.lock().events.push(event);
+        });
     }
 
     /// Point-in-time copy of the event log.

@@ -153,9 +153,10 @@ pub struct Request {
 pub enum Status {
     /// Request classified; `verdicts` holds one entry per table.
     Ok,
-    /// Admission queue full; retry after `retry_after_ms`.
+    /// Too many requests already wait for a classify permit; retry
+    /// after `retry_after_ms`.
     Overloaded,
-    /// Request waited in the queue past its deadline.
+    /// No classify permit came free within the request's deadline.
     DeadlineExceeded,
     /// Payload was not a well-formed `Request`.
     BadRequest,
@@ -165,8 +166,8 @@ pub enum Status {
     SlowRead,
     /// Server is draining; no new requests are admitted.
     ShuttingDown,
-    /// A worker panicked while classifying this request; the worker
-    /// survives and the panic is reported as a typed rejection.
+    /// Classifying this request panicked; the panic is caught, its
+    /// permit released, and the connection keeps serving.
     InternalError,
 }
 

@@ -79,6 +79,21 @@ TABMETA_SERVE_SOAK_SECS=30 RAYON_NUM_THREADS=1 cargo test -q --offline --release
 echo "==> serve chaos (RAYON_NUM_THREADS=4)"
 TABMETA_SERVE_SOAK_SECS=30 RAYON_NUM_THREADS=4 cargo test -q --offline --release --test serve_chaos
 
+# Benchmark smoke: perfbench (its own cargo workspace) compiles against
+# the public serve and core API and checks every served verdict against
+# an offline classify of the same tables, so a short serve_small run
+# catches an API break or a wrong served verdict that the stages above
+# would miss. Its last line is the contract JSON and must read
+# "correct": true.
+echo "==> perfbench serve_small smoke"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+PERF_LAST="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload serve_small --seed 3 --seconds 2 --trace 0 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
+  echo "perfbench serve_small smoke failed: $PERF_LAST" >&2
+  exit 1
+fi
+
 # Shard-chaos gate (tests/shard_chaos.rs): out-of-core streaming training
 # under fire. Kills at *every* boundary the run exposes (vocab shard,
 # encode shard, SGNS epoch, centroid shard) must resume byte-identical to

@@ -666,7 +666,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let server = Server::start(model, config.clone(), addr, Some(model_path.clone().into()))
         .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "serving {model_path} (fingerprint {fingerprint:016x}) on {} — {} workers, queue {}, deadline {}ms, hot-reload poll {}ms",
+        "serving {model_path} (fingerprint {fingerprint:016x}) on {} — {} concurrent classifications, {} may wait {}ms for one, hot-reload poll {}ms",
         server.local_addr(),
         config.workers,
         config.queue_capacity,
@@ -767,8 +767,10 @@ const USAGE: &str = "usage:
   Models are saved as versioned, checksummed artifacts and are fully
   validated on load.
   serve: length-prefixed JSON over TCP (4-byte little-endian frame length).
-  Full queue -> typed 'overloaded' + retry_after_ms; queue wait past
-  --deadline-ms -> 'deadline_exceeded'; slow peers -> 'slow_read' + close.
+  Each connection classifies on its own thread; at most --workers at once.
+  More than --queue waiting -> typed 'overloaded' + retry_after_ms; no
+  permit within --deadline-ms -> 'deadline_exceeded'; slow peers ->
+  'slow_read' + close.
   The model file is watched: a valid replacement is atomically swapped in
   (in-flight requests finish on the old model), an invalid one is rejected
   and serving continues on the current model. Every response carries the
