@@ -653,7 +653,7 @@ mod tests {
         fs::create_dir_all(dir).unwrap();
         let per = corpus.tables.len().div_ceil(files.max(1)).max(1);
         for (i, chunk) in corpus.tables.chunks(per).enumerate() {
-            let mut slice = Corpus::new(&format!("part-{i}"));
+            let mut slice = Corpus::new(format!("part-{i}"));
             slice.tables = chunk.to_vec();
             let mut buf = Vec::new();
             slice.write_jsonl(&mut buf).unwrap();

@@ -581,7 +581,6 @@ fn check_l010(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::registry::Names;
     use crate::rules::UsageTracker;
 

@@ -403,7 +403,7 @@ mod tests {
             let disk = Arc::new(FaultyDisk::new(Arc::new(RealDisk), plan));
             let (accepted, report) = stream_all(&dir, disk);
             assert!(report.conservation_holds(), "conservation broke under {kind:?}");
-            assert_eq!(report.accepted as usize, accepted);
+            assert_eq!(report.accepted, accepted);
             if kind.applies_to_reads() {
                 // Read faults hit every file: bit flips damage one byte
                 // (other records may still parse), short reads deliver a

@@ -94,6 +94,20 @@ if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
   exit 1
 fi
 
+# Traced benchmark smoke: the same workload with its per-layer
+# breakdown. The breakdown replays each layer through the public calls
+# the server makes (frame read, parse_payload::<Request>, classify,
+# encode), and the remainder serve.other_us must not go negative. A
+# server that decodes requests some other way than the replay does
+# fails "correct" here.
+echo "==> perfbench serve_small traced smoke"
+PERF_LAST="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload serve_small --seed 3 --seconds 2 --trace 1 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
+  echo "perfbench serve_small traced smoke failed: $PERF_LAST" >&2
+  exit 1
+fi
+
 # Shard-chaos gate (tests/shard_chaos.rs): out-of-core streaming training
 # under fire. Kills at *every* boundary the run exposes (vocab shard,
 # encode shard, SGNS epoch, centroid shard) must resume byte-identical to
@@ -154,9 +168,10 @@ printf '    lint stage wall-clock: %d.%03ds\n' \
 # tabular/core/text/resilience carry crate-level
 # `#![warn(clippy::unwrap_used, clippy::expect_used)]` (tests exempt via
 # cfg_attr), so `-D warnings` below denies any unwrap/expect that sneaks
-# back into the data path.
-echo "==> cargo clippy --workspace"
-cargo clippy --workspace --offline -- -D warnings
+# back into the data path. `--all-targets` lints tests, examples and
+# benches too.
+echo "==> cargo clippy --workspace --all-targets"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
