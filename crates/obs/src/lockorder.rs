@@ -291,9 +291,8 @@ impl<T> Drop for TrackedWriteGuard<'_, T> {
 mod tests {
     use super::*;
 
-    /// Serialize the witness tests: they share the process-wide ENABLED
-    /// flag and the per-thread stack, so run each body on a fresh thread
-    /// with the witness forced on.
+    /// Run a witness body on a fresh thread (so its held-lock stack
+    /// starts empty) with the witness forced on.
     fn on_fresh_thread(f: impl FnOnce() + Send + 'static) -> std::thread::Result<()> {
         std::thread::spawn(move || {
             set_enabled(true);
@@ -313,7 +312,17 @@ mod tests {
         assert_eq!(names.len(), REGISTRY.len());
     }
 
+    /// Every body that depends on the process-wide ENABLED flag runs
+    /// here, in sequence: as separate tests, the one that turns the
+    /// witness off raced the ones that need it on.
     #[test]
+    fn witness_checks_order_only_while_enabled() {
+        ascending_acquisition_is_clean();
+        inversion_panics_with_both_ids();
+        release_unwinds_so_sequential_holds_are_clean();
+        disabled_witness_checks_nothing();
+    }
+
     fn ascending_acquisition_is_clean() {
         on_fresh_thread(|| {
             let before = checks();
@@ -329,7 +338,6 @@ mod tests {
         .expect("ascending order must not panic");
     }
 
-    #[test]
     fn inversion_panics_with_both_ids() {
         let result = on_fresh_thread(|| {
             let low = TrackedRwLock::new(&SERVE_MODEL, ());
@@ -347,7 +355,6 @@ mod tests {
         assert!(text.contains("serve.model") && text.contains("obs.timeline"), "{text}");
     }
 
-    #[test]
     fn release_unwinds_so_sequential_holds_are_clean() {
         on_fresh_thread(|| {
             let high = TrackedMutex::new(&OBS_TIMELINE, ());
@@ -358,7 +365,6 @@ mod tests {
         .expect("sequential acquisition must not panic");
     }
 
-    #[test]
     fn disabled_witness_checks_nothing() {
         std::thread::spawn(|| {
             set_enabled(false);
