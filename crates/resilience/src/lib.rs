@@ -311,7 +311,7 @@ impl FaultInjector {
         f: impl FnOnce(&mut Table, &mut StdRng),
     ) -> bool {
         let Ok(text) = std::str::from_utf8(body) else { return false };
-        let Ok(mut table) = serde_json::from_str::<Table>(text) else { return false };
+        let Ok(mut table) = tabmeta_tabular::json::table_from_str(text) else { return false };
         f(&mut table, &mut self.rng);
         let Ok(json) = serde_json::to_string(&table) else { return false };
         out.extend_from_slice(json.as_bytes());

@@ -121,10 +121,34 @@ mod tests {
         let after = client.call(&Request { id: 10, tables: tables[..1].to_vec() }).unwrap();
         assert_eq!(after.parsed_status(), Some(Status::Ok));
 
+        // Well-formed JSON of the wrong shape — a ragged grid, ground
+        // truth that does not match the grid — is a typed bad_request
+        // too, and the connection keeps serving.
+        let cell = r#"{"text":"a","markup":{"th":false,"thead":false,"bold":false,"indent":0}}"#;
+        let request = |cells: &str, truth: &str| {
+            format!(
+                r#"{{"id":11,"tables":[{{"id":1,"caption":"","cells":{cells},"truth":{truth},"has_markup":false}}]}}"#
+            )
+        };
+        let ragged = request(&format!("[[{cell},{cell}],[{cell}]]"), "null");
+        let mis_shaped =
+            request(&format!("[[{cell}]]"), r#"{"rows":["Data","Data"],"columns":["Data"]}"#);
+        for (payload, wanted) in [(ragged, "ragged grid"), (mis_shaped, "ground truth shape")] {
+            let mut frame = Vec::new();
+            protocol::write_frame(&mut frame, payload.as_bytes()).unwrap();
+            client.send_raw(&frame).unwrap();
+            let rejection = client.read_response().unwrap();
+            assert_eq!(rejection.parsed_status(), Some(Status::BadRequest));
+            assert!(rejection.is_well_formed());
+            assert!(rejection.detail.contains(wanted), "{}", rejection.detail);
+            let after = client.call(&Request { id: 12, tables: tables[..1].to_vec() }).unwrap();
+            assert_eq!(after.parsed_status(), Some(Status::Ok));
+        }
+
         let stats = server.shutdown().unwrap();
         assert!(stats.admissions_conserved(), "{stats:?}");
-        assert_eq!(stats.ok, 2);
-        assert_eq!(stats.bad_request, 1);
+        assert_eq!(stats.ok, 4);
+        assert_eq!(stats.bad_request, 3);
     }
 
     #[test]

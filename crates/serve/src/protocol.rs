@@ -7,6 +7,10 @@
 //! the typed [`Status`] enum whose `as_str` values double as the
 //! `serve.rejected.<reason>` metric suffixes.
 //!
+//! Payloads are parsed through [`Decode`]: a [`Request`] is read by the
+//! tree-free table reader ([`tabmeta_tabular::json`]), which accepts and
+//! rejects what serde would; a [`Response`] goes through `serde_json`.
+//!
 //! Framing errors are typed ([`WireError`]) and distinguish a clean
 //! close from a mid-frame truncation, a declared length above the
 //! server's bound (rejected *before* reading the body, so an oversized
@@ -16,6 +20,7 @@
 use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
 use tabmeta_core::classifier::Verdict;
+use tabmeta_tabular::json::{self, required, Reader};
 use tabmeta_tabular::Table;
 
 /// Default upper bound on a frame payload, generous for batch requests.
@@ -140,12 +145,39 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> Result<(), WireEr
 }
 
 /// One batch classify request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
     /// Tables to classify, in response `verdicts` order.
     pub tables: Vec<Table>,
+}
+
+/// A message [`parse_payload`] can build from one UTF-8 JSON payload.
+pub trait Decode: Sized {
+    /// Parse `text`; the error is a human-readable detail.
+    fn decode(text: &str) -> Result<Self, String>;
+}
+
+impl Decode for Request {
+    /// Reads `{"id": u64, "tables": [Table, ...]}` with the table reader:
+    /// unknown keys are skipped, the first of repeated keys wins, and
+    /// every table passes the one table validation.
+    fn decode(text: &str) -> Result<Self, String> {
+        json::from_str(text, |r| {
+            let (mut id, mut tables) = (None, None);
+            r.object(|r, key| {
+                match key {
+                    "id" if id.is_none() => id = Some(r.int()?),
+                    "tables" if tables.is_none() => tables = Some(r.seq(Reader::table)?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+            Ok(Request { id: required(id, "id")?, tables: required(tables, "tables")? })
+        })
+        .map_err(|e| e.to_string())
+    }
 }
 
 /// Machine-readable response discriminant.
@@ -225,6 +257,12 @@ pub struct Response {
     pub verdicts: Vec<Verdict>,
 }
 
+impl Decode for Response {
+    fn decode(text: &str) -> Result<Self, String> {
+        serde_json::from_str(text).map_err(|e| e.to_string())
+    }
+}
+
 impl Response {
     /// Successful classification under the model `fingerprint`.
     pub fn ok(id: u64, fingerprint: u64, verdicts: Vec<Verdict>) -> Response {
@@ -277,19 +315,17 @@ pub fn write_message<T: Serialize>(stream: &mut impl Write, value: &T) -> Result
 
 /// Read one frame and parse it as `T`; JSON/UTF-8 failures surface as
 /// `Io` with a `parse:` detail prefix.
-pub fn read_message<T: for<'de> Deserialize<'de>>(
-    stream: &mut impl Read,
-    max_bytes: u32,
-) -> Result<T, WireError> {
+pub fn read_message<T: Decode>(stream: &mut impl Read, max_bytes: u32) -> Result<T, WireError> {
     let payload = read_frame(stream, max_bytes)?;
     parse_payload(&payload)
 }
 
-/// Parse an already-read frame payload as `T`.
-pub fn parse_payload<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> Result<T, WireError> {
+/// Parse an already-read frame payload as `T`, validating its UTF-8
+/// once.
+pub fn parse_payload<T: Decode>(payload: &[u8]) -> Result<T, WireError> {
     let text = std::str::from_utf8(payload)
         .map_err(|e| WireError::Io { detail: format!("parse: payload not UTF-8: {e}") })?;
-    serde_json::from_str(text).map_err(|e| WireError::Io { detail: format!("parse: {e}") })
+    T::decode(text).map_err(|e| WireError::Io { detail: format!("parse: {e}") })
 }
 
 #[cfg(test)]
@@ -362,6 +398,48 @@ mod tests {
         // Overloaded without a retry hint is malformed by construction.
         let no_hint = Response::rejected(1, Status::Overloaded, "full".into(), 0);
         assert!(!no_hint.is_well_formed());
+    }
+
+    /// The `Request` the serde derive reads: the reference the reader
+    /// behind [`Request::decode`] is held to.
+    #[derive(Deserialize)]
+    struct SerdeRequest {
+        id: u64,
+        tables: Vec<Table>,
+    }
+
+    #[test]
+    fn request_decoder_agrees_with_serde() {
+        let t =
+            serde_json::to_string(&Table::from_strings(3, &[&["a", "b"], &["1", "2"]])).unwrap();
+        let cases = [
+            format!(r#"{{"id":5,"tables":[{t},{t}]}}"#),
+            format!(r#"{{"tables":[{t}],"id":5,"id":6}}"#),
+            format!(r#"{{"id":5,"tables":[{t}],"extra":[1,{{"a":null}}]}}"#),
+            r#" { "id" : -0 , "tables" : [ ] } "#.to_string(),
+            r#"{"id":-1,"tables":[]}"#.to_string(),
+            r#"{"id":1.0,"tables":[]}"#.to_string(),
+            r#"{"id":18446744073709551616,"tables":[]}"#.to_string(),
+            r#"{"tables":[]}"#.to_string(),
+            r#"{"id":1}"#.to_string(),
+            format!(r#"{{"id":1,"tables":{t}}}"#),
+            format!(r#"{{"id":1,"tables":[{t}]}} x"#),
+            format!(r#"{{"id":1,"tables":[{t}],}}"#),
+            format!("[{t}]"),
+        ];
+        for case in &cases {
+            match (Request::decode(case), serde_json::from_str::<SerdeRequest>(case)) {
+                (Ok(ours), Ok(reference)) => {
+                    assert_eq!((ours.id, ours.tables), (reference.id, reference.tables), "{case}");
+                }
+                (Err(_), Err(_)) => {}
+                (ours, reference) => panic!(
+                    "{case}: reader {:?}, serde {:?}",
+                    ours.map(|r| r.id),
+                    reference.map(|r| r.id)
+                ),
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! splits cheaply, which is what corpus-scale experiments need.
 
 use crate::ingest::{snippet_of, IngestError, QuarantineReport, QuarantinedRecord, RejectReason};
+use crate::json::{self, ReadError};
 use crate::label::LevelLabel;
 use crate::table::Table;
 use serde::{Deserialize, Serialize};
@@ -297,20 +298,13 @@ pub(crate) fn parse_jsonl_record(
     if line.trim().is_empty() {
         return Ok(None);
     }
-    match serde_json::from_str::<Table>(line) {
-        Ok(table) => Ok(Some(table)),
-        Err(e) => {
-            // Distinguish broken JSON from well-formed JSON that fails
-            // table validation: if the line re-parses as a bare value, the
-            // syntax was fine and the shape was not.
-            let reason = if serde_json::from_str::<serde_json::Value>(line).is_ok() {
-                RejectReason::InvalidShape
-            } else {
-                RejectReason::MalformedJson
-            };
-            Err((reason, e.to_string(), snippet_of(line)))
-        }
-    }
+    json::table_from_str(line).map(Some).map_err(|e| {
+        let reason = match e {
+            ReadError::Malformed(_) => RejectReason::MalformedJson,
+            ReadError::Shape(_) => RejectReason::InvalidShape,
+        };
+        (reason, e.to_string(), snippet_of(line))
+    })
 }
 
 /// Summary statistics of a corpus's structure.

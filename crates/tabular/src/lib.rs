@@ -20,6 +20,8 @@
 //!   <th>…`) used by the bootstrap labeler and the RAG store,
 //! * [`corpus::Corpus`] — a named collection of tables with JSONL
 //!   persistence and structure statistics,
+//! * [`json`] — the tree-free pull reader every runtime path decodes
+//!   table JSON with (JSONL records, serve requests),
 //! * [`ingest`] — the typed ingestion-error taxonomy
 //!   ([`ingest::IngestError`] / [`ingest::RejectReason`]) and the
 //!   [`ingest::QuarantineReport`] produced by lossy loading,
@@ -39,6 +41,7 @@ pub mod corpus;
 pub mod csv;
 pub mod htmlite;
 pub mod ingest;
+pub mod json;
 pub mod label;
 pub mod stream;
 pub mod table;

@@ -87,19 +87,19 @@ pub struct Table {
 }
 
 /// Wire shape for deserialization: field-for-field identical to
-/// [`Table`], but unvalidated. [`Table`]'s `Deserialize` goes through
-/// this so a hand-crafted or corrupted JSON record can never smuggle an
-/// empty or ragged grid (or mis-shaped ground truth) past the
-/// constructor invariants — malformed shapes become deserialization
-/// errors the ingest layer can quarantine, not latent panics in
-/// `n_cols`/`with_truth`.
+/// [`Table`], but unvalidated. The JSON reader ([`crate::json`]) and
+/// [`Table`]'s `Deserialize` both go through this, so a hand-crafted or
+/// corrupted JSON record can never smuggle an empty or ragged grid (or
+/// mis-shaped ground truth) past the constructor invariants — malformed
+/// shapes become decode errors the ingest layer can quarantine, not
+/// latent panics in `n_cols`/`with_truth`.
 #[derive(Deserialize)]
-struct TableWire {
-    id: u64,
-    caption: String,
-    cells: Vec<Vec<Cell>>,
-    truth: Option<GroundTruth>,
-    has_markup: bool,
+pub(crate) struct TableWire {
+    pub(crate) id: u64,
+    pub(crate) caption: String,
+    pub(crate) cells: Vec<Vec<Cell>>,
+    pub(crate) truth: Option<GroundTruth>,
+    pub(crate) has_markup: bool,
 }
 
 impl TryFrom<TableWire> for Table {
@@ -137,6 +137,8 @@ impl TryFrom<TableWire> for Table {
     }
 }
 
+/// The serde path, kept as the reference that `tests/format_fuzz.rs`
+/// holds [`crate::json`] to; runtime decoding goes through the reader.
 impl<'de> Deserialize<'de> for Table {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let wire = TableWire::deserialize(deserializer)?;

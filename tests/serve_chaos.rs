@@ -8,8 +8,9 @@
 //! including one swap to a corrupted artifact. The gate asserts:
 //!
 //! - zero panics (every thread joins cleanly),
-//! - zero dropped in-flight requests (`admitted == ok + deadline_exceeded
-//!   + drained`, and every clean request observed a response),
+//! - zero dropped in-flight requests (`admitted == ok +
+//!   deadline_exceeded + drained + internal_error`, and every clean
+//!   request observed a response),
 //! - every response on a clean connection is well-formed and typed,
 //! - queue depth stays bounded by the configured capacity,
 //! - ≥ 3 hot reloads land and the corrupted swap is rejected while
