@@ -20,8 +20,9 @@ fn bench(c: &mut Criterion) {
 
     let f = fixture(CorpusKind::Cius);
     let t = f.test.iter().max_by_key(|t| t.truth.as_ref().unwrap().vmd_depth()).unwrap();
+    let mut scratch = f.pipeline.classify_scratch();
     c.bench_function("fig7/classify_with_trace", |b| {
-        b.iter(|| black_box(f.pipeline.classify_with_trace(black_box(t))))
+        b.iter(|| black_box(f.pipeline.classify_with_trace(black_box(t), &mut scratch)))
     });
 }
 

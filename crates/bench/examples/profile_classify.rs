@@ -28,7 +28,7 @@ fn main() {
     // Full batched classify.
     let start = Instant::now();
     for _ in 0..REPS {
-        let _ = pipeline.classify_corpus_cached(test);
+        let _ = pipeline.classify_corpus(test);
     }
     let full = start.elapsed();
     println!(
@@ -89,7 +89,7 @@ fn main() {
         warm.as_secs_f64() * 1e6 / (REPS * test.len()) as f64
     );
 
-    // Fresh scratch per batch (what classify_corpus_cached pays per call).
+    // Fresh scratch per batch (what a batch call pays on a cold pool).
     let start = Instant::now();
     for _ in 0..REPS {
         let mut scratch = pipeline.classify_scratch();

@@ -54,6 +54,14 @@ fn obs_handles() -> &'static ObsHandles {
     })
 }
 
+/// Count one classified table and its two boundary depths.
+fn record_verdict(hmd_depth: u8, vmd_depth: u8) {
+    let obs = obs_handles();
+    obs.tables.inc();
+    obs.boundary_depth.record(hmd_depth as u64);
+    obs.boundary_depth.record(vmd_depth as u64);
+}
+
 /// How levels are labeled along an axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum WalkStrategy {
@@ -172,33 +180,6 @@ impl Provenance {
         }
     }
 }
-
-/// A typed classification failure, for callers that want strict semantics
-/// ([`Classifier::try_classify`]) instead of silent degradation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClassifyError {
-    /// The embedder and centroid model disagree on vector width — the
-    /// model was trained with a different embedder.
-    DimensionMismatch {
-        /// The embedder's output dimension.
-        embedder_dim: usize,
-        /// The centroid model's vector dimension.
-        model_dim: usize,
-    },
-}
-
-impl std::fmt::Display for ClassifyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClassifyError::DimensionMismatch { embedder_dim, model_dim } => write!(
-                f,
-                "embedder dimension {embedder_dim} does not match centroid model dimension {model_dim}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ClassifyError {}
 
 /// The classification result for one table.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -398,126 +379,29 @@ impl Classifier {
         }
     }
 
-    /// Classify one table (rows, then columns). Never panics and never
-    /// fails: degenerate tables and model/embedder mismatches route to the
-    /// positional fallback, with the reason recorded on the verdict's
-    /// provenance fields.
+    /// Classify one table (rows, then columns) with caller-owned scratch
+    /// state: one scratch reused across many tables amortizes term
+    /// interning and reference norms; verdicts do not depend on what it
+    /// has seen. Never panics and never fails: degenerate tables and
+    /// model/embedder mismatches route to the positional fallback, with
+    /// the reason recorded on the verdict's provenance fields.
+    ///
+    /// With `trace`, every angle decision is recorded (the Fig. 5
+    /// walk-through). Positional fallbacks are traced too: when an axis
+    /// (or, on a model/embedder mismatch, the whole table) degrades, one
+    /// [`RangeKind::Degraded`] step per level records the fallback label —
+    /// a degraded table never yields an empty trace.
     pub fn classify<E: TermEmbedder + ?Sized>(
         &self,
         table: &Table,
         embedder: &E,
         tokenizer: &Tokenizer,
-    ) -> Verdict {
-        self.classify_with_scratch(table, embedder, tokenizer, &mut self.scratch())
-    }
-
-    /// [`Classifier::classify`] with caller-owned scratch state, the entry
-    /// point of the batched hot path: one scratch per worker thread
-    /// amortizes term interning and reference norms across tables. Verdicts
-    /// are bit-identical to [`Classifier::classify`].
-    pub fn classify_with_scratch<E: TermEmbedder + ?Sized>(
-        &self,
-        table: &Table,
-        embedder: &E,
-        tokenizer: &Tokenizer,
-        scratch: &mut ClassifyScratch,
-    ) -> Verdict {
-        if self.check_dims(embedder).is_err() {
-            return self.degraded_verdict(table, DegradeReason::ModelMismatch, None);
-        }
-        self.classify_inner(table, embedder, tokenizer, scratch, None)
-    }
-
-    /// Strict variant of [`Classifier::classify`]: a model/embedder
-    /// mismatch is a typed [`ClassifyError`] instead of a degraded
-    /// verdict. Per-table degeneracy (blank, single-level, non-finite)
-    /// still degrades — those are properties of one input record, not of
-    /// the caller's setup.
-    pub fn try_classify<E: TermEmbedder + ?Sized>(
-        &self,
-        table: &Table,
-        embedder: &E,
-        tokenizer: &Tokenizer,
-    ) -> Result<Verdict, ClassifyError> {
-        self.check_dims(embedder)?;
-        Ok(self.classify_inner(table, embedder, tokenizer, &mut self.scratch(), None))
-    }
-
-    /// Classify and record every angle decision (the Fig. 5 walk-through).
-    ///
-    /// Positional fallbacks are traced too: when an axis (or, on a
-    /// model/embedder mismatch, the whole table) degrades, one
-    /// [`RangeKind::Degraded`] step per level records the fallback label —
-    /// a degraded table never yields an empty trace.
-    pub fn classify_with_trace<E: TermEmbedder + ?Sized>(
-        &self,
-        table: &Table,
-        embedder: &E,
-        tokenizer: &Tokenizer,
-    ) -> (Verdict, Vec<TraceStep>) {
-        self.classify_with_trace_scratch(table, embedder, tokenizer, &mut self.scratch())
-    }
-
-    /// [`Classifier::classify_with_trace`] with caller-owned scratch state;
-    /// see [`Classifier::classify_with_scratch`].
-    pub fn classify_with_trace_scratch<E: TermEmbedder + ?Sized>(
-        &self,
-        table: &Table,
-        embedder: &E,
-        tokenizer: &Tokenizer,
-        scratch: &mut ClassifyScratch,
-    ) -> (Verdict, Vec<TraceStep>) {
-        let mut trace = Vec::new();
-        if self.check_dims(embedder).is_err() {
-            let verdict =
-                self.degraded_verdict(table, DegradeReason::ModelMismatch, Some(&mut trace));
-            return (verdict, trace);
-        }
-        let verdict = self.classify_inner(table, embedder, tokenizer, scratch, Some(&mut trace));
-        (verdict, trace)
-    }
-
-    /// The embedder must produce vectors of the model's width on every
-    /// usable axis; otherwise every angle test would be meaningless.
-    fn check_dims<E: TermEmbedder + ?Sized>(&self, embedder: &E) -> Result<(), ClassifyError> {
-        for axis in [Axis::Row, Axis::Column] {
-            let c = self.centroids.axis(axis);
-            if c.is_usable() && c.meta_ref.len() != embedder.dim() {
-                return Err(ClassifyError::DimensionMismatch {
-                    embedder_dim: embedder.dim(),
-                    model_dim: c.meta_ref.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Fully degraded verdict: positional fallback on both axes.
-    fn degraded_verdict(
-        &self,
-        table: &Table,
-        reason: DegradeReason,
-        mut trace: Option<&mut Vec<TraceStep>>,
-    ) -> Verdict {
-        let (rows, hmd_depth, row_provenance) =
-            positional_axis(table, Axis::Row, reason, trace.as_deref_mut());
-        let (columns, vmd_depth, col_provenance) =
-            positional_axis(table, Axis::Column, reason, trace);
-        let obs = obs_handles();
-        obs.tables.inc();
-        obs.boundary_depth.record(hmd_depth as u64);
-        obs.boundary_depth.record(vmd_depth as u64);
-        Verdict { rows, columns, hmd_depth, vmd_depth, row_provenance, col_provenance }
-    }
-
-    fn classify_inner<E: TermEmbedder + ?Sized>(
-        &self,
-        table: &Table,
-        embedder: &E,
-        tokenizer: &Tokenizer,
         scratch: &mut ClassifyScratch,
         mut trace: Option<&mut Vec<TraceStep>>,
     ) -> Verdict {
+        if !self.dims_match(embedder) {
+            return self.degraded_verdict(table, DegradeReason::ModelMismatch, trace);
+        }
         // Built lazily by the first axis that actually walks, then shared
         // by the second: each cell is tokenized exactly once per table.
         let mut cache: Option<LevelVectorCache> = None;
@@ -541,10 +425,31 @@ impl Classifier {
             &mut cache,
             trace,
         );
-        let obs = obs_handles();
-        obs.tables.inc();
-        obs.boundary_depth.record(hmd_depth as u64);
-        obs.boundary_depth.record(vmd_depth as u64);
+        record_verdict(hmd_depth, vmd_depth);
+        Verdict { rows, columns, hmd_depth, vmd_depth, row_provenance, col_provenance }
+    }
+
+    /// The embedder must produce vectors of the model's width on every
+    /// usable axis; otherwise every angle test would be meaningless.
+    fn dims_match<E: TermEmbedder + ?Sized>(&self, embedder: &E) -> bool {
+        [Axis::Row, Axis::Column].into_iter().all(|axis| {
+            let c = self.centroids.axis(axis);
+            !c.is_usable() || c.meta_ref.len() == embedder.dim()
+        })
+    }
+
+    /// Fully degraded verdict: positional fallback on both axes.
+    fn degraded_verdict(
+        &self,
+        table: &Table,
+        reason: DegradeReason,
+        mut trace: Option<&mut Vec<TraceStep>>,
+    ) -> Verdict {
+        let (rows, hmd_depth, row_provenance) =
+            positional_axis(table, Axis::Row, reason, trace.as_deref_mut());
+        let (columns, vmd_depth, col_provenance) =
+            positional_axis(table, Axis::Column, reason, trace);
+        record_verdict(hmd_depth, vmd_depth);
         Verdict { rows, columns, hmd_depth, vmd_depth, row_provenance, col_provenance }
     }
 
@@ -941,6 +846,22 @@ mod tests {
         }
     }
 
+    /// Untraced classify on a fresh scratch.
+    fn classify<E: TermEmbedder + ?Sized>(c: &Classifier, t: &Table, e: &E) -> Verdict {
+        c.classify(t, e, &Tokenizer::default(), &mut c.scratch(), None)
+    }
+
+    /// Traced classify on a fresh scratch.
+    fn classify_traced<E: TermEmbedder + ?Sized>(
+        c: &Classifier,
+        t: &Table,
+        e: &E,
+    ) -> (Verdict, Vec<TraceStep>) {
+        let mut trace = Vec::new();
+        let v = c.classify(t, e, &Tokenizer::default(), &mut c.scratch(), Some(&mut trace));
+        (v, trace)
+    }
+
     #[test]
     fn two_level_header_then_data() {
         // Row 0: header (0°), row 1: subheader (30° away → C_MDE),
@@ -955,7 +876,7 @@ mod tests {
             ],
         );
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.hmd_depth, 2, "labels: {:?}", v.rows);
         assert_eq!(v.rows[0], LevelLabel::Hmd(1));
         assert_eq!(v.rows[1], LevelLabel::Hmd(2));
@@ -967,7 +888,7 @@ mod tests {
     fn single_header_table() {
         let t = Table::from_strings(2, &[&["header", "header"], &["1", "2"], &["3", "4"]]);
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.hmd_depth, 1);
         assert_eq!(v.rows, vec![LevelLabel::Hmd(1), LevelLabel::Data, LevelLabel::Data]);
     }
@@ -976,7 +897,7 @@ mod tests {
     fn headerless_table_is_all_data() {
         let t = Table::from_strings(3, &[&["1", "2"], &["3", "4"]]);
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.hmd_depth, 0);
         assert!(v.rows.iter().all(|l| *l == LevelLabel::Data));
     }
@@ -995,7 +916,7 @@ mod tests {
         );
         let mut c = classifier();
         c.config.max_hmd_depth = 2;
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.hmd_depth, 2);
         assert_eq!(v.rows[2], LevelLabel::Data, "cap stops the run");
     }
@@ -1010,7 +931,7 @@ mod tests {
         );
         let mut c = classifier();
         c.config.strategy = WalkStrategy::ReferenceOnly;
-        let (v, trace) = c.classify_with_trace(&t, &Synthetic::new(), &Tokenizer::default());
+        let (v, trace) = classify_traced(&c, &t, &Synthetic::new());
         assert_eq!(v.hmd_depth, 2, "labels: {:?}", v.rows);
         let row_steps: Vec<&TraceStep> = trace.iter().filter(|s| s.axis == Axis::Row).collect();
         // One step per examined level, including the breaking data level.
@@ -1036,7 +957,7 @@ mod tests {
             ],
         );
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.rows[2], LevelLabel::Cmd, "labels: {:?}", v.rows);
         assert_eq!(v.hmd_depth, 1);
     }
@@ -1049,7 +970,7 @@ mod tests {
         );
         let mut c = classifier();
         c.config.detect_cmd = false;
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.rows[2], LevelLabel::Data);
     }
 
@@ -1066,7 +987,7 @@ mod tests {
             ],
         );
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.vmd_depth, 1, "columns: {:?}", v.columns);
         assert_eq!(v.columns[0], LevelLabel::Vmd(1));
         assert_eq!(v.columns[1], LevelLabel::Data);
@@ -1077,7 +998,7 @@ mod tests {
         let mut c = classifier();
         c.centroids.rows.meta_ref = vec![0.0, 0.0];
         let t = Table::from_strings(8, &[&["header", "header"], &["1", "2"]]);
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.hmd_depth, 1, "positional fallback claims the first row");
         assert_eq!(v.rows[0], LevelLabel::Hmd(1));
         assert_eq!(v.row_provenance, Provenance::Degraded(DegradeReason::UnusableCentroids));
@@ -1089,7 +1010,7 @@ mod tests {
     fn healthy_walk_has_walk_provenance() {
         let t = Table::from_strings(20, &[&["header", "header"], &["1", "2"]]);
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.row_provenance, Provenance::Walk);
         assert!(!v.is_degraded());
     }
@@ -1098,7 +1019,7 @@ mod tests {
     fn single_row_table_degrades_to_single_level() {
         let t = Table::from_strings(21, &[&["header", "header", "header"]]);
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.row_provenance, Provenance::Degraded(DegradeReason::SingleLevel));
         assert_eq!(v.hmd_depth, 1);
         assert_eq!(v.rows[0], LevelLabel::Hmd(1));
@@ -1108,7 +1029,7 @@ mod tests {
     fn all_blank_table_degrades_with_no_signal() {
         let t = Table::from_strings(22, &[&["", ""], &["", ""]]);
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.row_provenance, Provenance::Degraded(DegradeReason::NoSignal));
         assert_eq!(v.col_provenance, Provenance::Degraded(DegradeReason::NoSignal));
         assert_eq!(v.rows[0], LevelLabel::Hmd(1), "positional fallback still labels");
@@ -1118,7 +1039,7 @@ mod tests {
     fn all_oov_table_degrades_with_no_signal() {
         let t = Table::from_strings(23, &[&["zzz", "qqq"], &["xxx", "www"]]);
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.row_provenance, Provenance::Degraded(DegradeReason::NoSignal));
     }
 
@@ -1137,13 +1058,13 @@ mod tests {
         }
         let t = Table::from_strings(24, &[&["header", "header"], &["1", "2"]]);
         let c = classifier();
-        let v = c.classify(&t, &Poisoned, &Tokenizer::default());
+        let v = classify(&c, &t, &Poisoned);
         assert_eq!(v.row_provenance, Provenance::Degraded(DegradeReason::NonFinite));
         assert_eq!(v.hmd_depth, 1, "fallback, not a panic or a NaN-driven walk");
     }
 
     #[test]
-    fn dimension_mismatch_is_typed_for_try_classify_and_degraded_for_classify() {
+    fn dimension_mismatch_degrades_with_model_mismatch() {
         struct Wide;
         impl TermEmbedder for Wide {
             fn dim(&self) -> usize {
@@ -1156,21 +1077,9 @@ mod tests {
         }
         let t = Table::from_strings(25, &[&["header", "header"], &["1", "2"]]);
         let c = classifier();
-        let err = c.try_classify(&t, &Wide, &Tokenizer::default()).unwrap_err();
-        assert_eq!(err, ClassifyError::DimensionMismatch { embedder_dim: 7, model_dim: 2 });
-        assert!(err.to_string().contains('7'), "{err}");
-        let v = c.classify(&t, &Wide, &Tokenizer::default());
+        let v = classify(&c, &t, &Wide);
         assert_eq!(v.row_provenance, Provenance::Degraded(DegradeReason::ModelMismatch));
         assert_eq!(v.col_provenance, Provenance::Degraded(DegradeReason::ModelMismatch));
-    }
-
-    #[test]
-    fn try_classify_matches_classify_on_healthy_input() {
-        let t = Table::from_strings(26, &[&["header", "header"], &["1", "2"]]);
-        let c = classifier();
-        let strict = c.try_classify(&t, &Synthetic::new(), &Tokenizer::default()).unwrap();
-        let lenient = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
-        assert_eq!(strict, lenient);
     }
 
     #[test]
@@ -1180,7 +1089,7 @@ mod tests {
         let mut c = classifier();
         c.centroids.columns.meta_ref = vec![0.0, 0.0];
         let t = Table::from_strings(27, &[&["1", "a"], &["2", "b"], &["3", "c"]]);
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert!(v.col_provenance.is_degraded());
         assert_eq!(v.vmd_depth, 0, "numeric-dominated first column stays data");
         assert_eq!(v.columns[0], LevelLabel::Data);
@@ -1193,7 +1102,7 @@ mod tests {
             &[&["header", "header"], &["subheader", "subheader"], &["1", "2"]],
         );
         let c = classifier();
-        let (v, trace) = c.classify_with_trace(&t, &Synthetic::new(), &Tokenizer::default());
+        let (v, trace) = classify_traced(&c, &t, &Synthetic::new());
         assert_eq!(v.hmd_depth, 2);
         let row_steps: Vec<&TraceStep> = trace.iter().filter(|s| s.axis == Axis::Row).collect();
         assert!(row_steps.len() >= 3);
@@ -1207,7 +1116,7 @@ mod tests {
     fn blank_second_row_ends_the_header_run() {
         let t = Table::from_strings(10, &[&["header", "header"], &["", ""], &["1", "2"]]);
         let c = classifier();
-        let v = c.classify(&t, &Synthetic::new(), &Tokenizer::default());
+        let v = classify(&c, &t, &Synthetic::new());
         assert_eq!(v.hmd_depth, 1);
         assert_eq!(v.rows[1], LevelLabel::Data);
     }
@@ -1228,7 +1137,7 @@ mod tests {
         }
         let t = Table::from_strings(28, &[&["header", "header"], &["1", "2"]]);
         let c = classifier();
-        let (v, trace) = c.classify_with_trace(&t, &Wide, &Tokenizer::default());
+        let (v, trace) = classify_traced(&c, &t, &Wide);
         assert_eq!(v.row_provenance, Provenance::Degraded(DegradeReason::ModelMismatch));
         assert_eq!(trace.len(), t.n_rows() + t.n_cols(), "one step per level on both axes");
         assert!(trace.iter().all(|s| s.matched == RangeKind::Degraded && s.angle.is_none()));
@@ -1249,7 +1158,7 @@ mod tests {
         let mut c = classifier();
         c.centroids.columns.meta_ref = vec![0.0, 0.0];
         let t = Table::from_strings(29, &[&["header", "header"], &["1", "2"]]);
-        let (v, trace) = c.classify_with_trace(&t, &Synthetic::new(), &Tokenizer::default());
+        let (v, trace) = classify_traced(&c, &t, &Synthetic::new());
         assert!(v.col_provenance.is_degraded());
         let col_steps: Vec<&TraceStep> = trace.iter().filter(|s| s.axis == Axis::Column).collect();
         assert_eq!(col_steps.len(), t.n_cols());
@@ -1275,9 +1184,10 @@ mod tests {
         ];
         let mut scratch = c.scratch();
         for t in &tables {
-            assert_eq!(c.classify_with_scratch(t, &e, &tok, &mut scratch), c.classify(t, &e, &tok));
-            let (v1, tr1) = c.classify_with_trace_scratch(t, &e, &tok, &mut scratch);
-            let (v2, tr2) = c.classify_with_trace(t, &e, &tok);
+            assert_eq!(c.classify(t, &e, &tok, &mut scratch, None), classify(&c, t, &e));
+            let mut tr1 = Vec::new();
+            let v1 = c.classify(t, &e, &tok, &mut scratch, Some(&mut tr1));
+            let (v2, tr2) = classify_traced(&c, t, &e);
             assert_eq!(v1, v2);
             assert_eq!(tr1, tr2);
         }

@@ -31,9 +31,10 @@
 //! **Resilience:** [`classifier::Classifier::classify`] never panics —
 //! degenerate tables (blank, all-OOV, single-level, non-finite
 //! aggregates) and model/embedder mismatches route to a positional
-//! fallback tagged with [`classifier::Provenance::Degraded`];
-//! [`classifier::Classifier::try_classify`] surfaces setup errors as
-//! typed [`classifier::ClassifyError`]s instead.
+//! fallback tagged with [`classifier::Provenance::Degraded`]. A
+//! model/embedder dimension mismatch is also refused typed at load, as
+//! [`persist::ArtifactError::DimensionMismatch`] from
+//! [`pipeline::Pipeline::validate`].
 
 #![forbid(unsafe_code)]
 // The data path must be panic-free on input-derived values: unwrap/
@@ -60,8 +61,8 @@ pub use checkpoint::{
     CheckpointScanReport, CheckpointStage, CheckpointStore, QuarantinedCheckpoint, TrainCheckpoint,
 };
 pub use classifier::{
-    Classifier, ClassifierConfig, ClassifyError, ClassifyScratch, DegradeReason, Provenance,
-    RangeKind, TraceStep, Verdict, WalkStrategy,
+    Classifier, ClassifierConfig, ClassifyScratch, DegradeReason, Provenance, RangeKind, TraceStep,
+    Verdict, WalkStrategy,
 };
 pub use config::{EmbeddingChoice, PipelineConfig};
 pub use finetune::{FinetuneConfig, FinetuneResume};

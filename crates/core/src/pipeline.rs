@@ -17,11 +17,12 @@
 use crate::bootstrap::WeakLabels;
 use crate::centroid::{self, AxisCentroids, CentroidModel};
 use crate::checkpoint::{CheckpointStage, CheckpointStore, TrainCheckpoint};
-use crate::classifier::{Classifier, TraceStep, Verdict};
+use crate::classifier::{Classifier, ClassifyScratch, TraceStep, Verdict};
 use crate::config::{EmbeddingChoice, PipelineConfig};
 use crate::finetune::{self, FinetuneReport, FinetuneResume};
 use crate::persist::ArtifactError;
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::ops::ControlFlow;
 use tabmeta_embed::{
     sentences_from_tables_par, CharGram, IntegrityFault, SgnsResume, TermEmbedder, TunableEmbedder,
@@ -160,10 +161,8 @@ pub struct TrainSummary {
 ///
 /// Never serialized and never cloned with contents — a cloned or
 /// deserialized pipeline starts with a cold pool.
-///
-/// [`ClassifyScratch`]: crate::classifier::ClassifyScratch
 struct ScratchPool {
-    slots: tabmeta_obs::lockorder::TrackedMutex<Vec<crate::classifier::ClassifyScratch>>,
+    slots: tabmeta_obs::lockorder::TrackedMutex<Vec<ClassifyScratch>>,
 }
 
 /// A scratch whose memo tables outgrow this many entries is retired
@@ -182,13 +181,13 @@ impl ScratchPool {
     }
 
     /// A pooled warm scratch, if any is idle.
-    fn checkout(&self) -> Option<crate::classifier::ClassifyScratch> {
+    fn checkout(&self) -> Option<ClassifyScratch> {
         self.slots.lock().pop()
     }
 
     /// Return a scratch for reuse, unless its memos have grown past the
     /// retirement bound.
-    fn checkin(&self, scratch: crate::classifier::ClassifyScratch) {
+    fn checkin(&self, scratch: ClassifyScratch) {
         if scratch.memo_entries() > SCRATCH_RETIRE_ENTRIES {
             return;
         }
@@ -502,135 +501,99 @@ impl Pipeline {
     /// bit-identical either way), so repeated single-table calls amortize
     /// tokenization and vocabulary lookups like the batch path does.
     pub fn classify(&self, table: &Table) -> Verdict {
-        let mut scratch = self.scratch_pool.checkout().unwrap_or_else(|| self.classifier.scratch());
-        let verdict = self.classify_with_scratch(table, &mut scratch);
-        self.scratch_pool.checkin(scratch);
-        verdict
+        self.with_pooled_scratch(|scratch| self.classify_with_scratch(table, scratch))
     }
 
-    /// Classify one table, recording the angle walk (Fig. 5).
-    pub fn classify_with_trace(&self, table: &Table) -> (Verdict, Vec<TraceStep>) {
-        let mut scratch = self.scratch_pool.checkout().unwrap_or_else(|| self.classifier.scratch());
-        let out = self.classify_with_trace_scratch(table, &mut scratch);
-        self.scratch_pool.checkin(scratch);
-        out
-    }
-
-    /// Fresh reusable scratch for [`Pipeline::classify_with_scratch`].
-    pub fn classify_scratch(&self) -> crate::classifier::ClassifyScratch {
+    /// Fresh reusable scratch for [`Pipeline::classify_with_scratch`] and
+    /// [`Pipeline::classify_with_trace`].
+    pub fn classify_scratch(&self) -> ClassifyScratch {
         self.classifier.scratch()
     }
 
     /// [`Pipeline::classify`] with caller-owned scratch (see
-    /// [`Classifier::classify_with_scratch`]).
-    pub fn classify_with_scratch(
-        &self,
-        table: &Table,
-        scratch: &mut crate::classifier::ClassifyScratch,
-    ) -> Verdict {
-        self.classifier.classify_with_scratch(table, &self.embedder, &self.tokenizer, scratch)
+    /// [`Classifier::classify`]).
+    pub fn classify_with_scratch(&self, table: &Table, scratch: &mut ClassifyScratch) -> Verdict {
+        self.classifier.classify(table, &self.embedder, &self.tokenizer, scratch, None)
     }
 
-    /// [`Pipeline::classify_with_trace`] with caller-owned scratch.
-    pub fn classify_with_trace_scratch(
+    /// Classify one table with caller-owned scratch, recording the angle
+    /// walk (Fig. 5).
+    pub fn classify_with_trace(
         &self,
         table: &Table,
-        scratch: &mut crate::classifier::ClassifyScratch,
+        scratch: &mut ClassifyScratch,
     ) -> (Verdict, Vec<TraceStep>) {
-        self.classifier.classify_with_trace_scratch(table, &self.embedder, &self.tokenizer, scratch)
+        let mut trace = Vec::new();
+        let verdict = self.classifier.classify(
+            table,
+            &self.embedder,
+            &self.tokenizer,
+            scratch,
+            Some(&mut trace),
+        );
+        (verdict, trace)
     }
 
-    /// Classify a whole corpus in parallel (the "scalable" in the title:
-    /// per-table classification is embarrassingly parallel).
+    /// Classify a batch of tables — a corpus, the hybrid router's deep
+    /// subset, or one served request — in parallel (the "scalable" in the
+    /// title: per-table classification is embarrassingly parallel).
     ///
-    /// An empty corpus is explicit: no `classify` span is opened and
+    /// The batch splits into one contiguous chunk per rayon worker, each
+    /// classified on one pooled warm scratch; verdicts come back in input
+    /// order and are bit-identical to per-table [`Pipeline::classify`].
+    /// The call is timed by the `classify` span and sets the
+    /// `classify.tables_per_sec` and `classify.interned_terms` gauges.
+    ///
+    /// An empty batch is explicit: no `classify` span is opened and
     /// `classify.tables_per_sec` reads zero, so bench and serve layers can
     /// never misread a stale gauge from an earlier run.
-    pub fn classify_corpus(&self, tables: &[Table]) -> Vec<Verdict> {
+    pub fn classify_corpus<T: Borrow<Table> + Sync>(&self, tables: &[T]) -> Vec<Verdict> {
+        let obs = tabmeta_obs::global();
         if tables.is_empty() {
-            tabmeta_obs::global().gauge(names::CLASSIFY_TABLES_PER_SEC).set(0.0);
+            obs.gauge(names::CLASSIFY_TABLES_PER_SEC).set(0.0);
             return Vec::new();
         }
+        let workers = rayon::current_num_threads().min(tables.len());
+        let chunks: Vec<&[T]> = tables.chunks(tables.len().div_ceil(workers)).collect();
         // Timed through the span registry so `classify.tables_per_sec`
         // and the `classify` span report the same wall-clock interval.
-        let (verdicts, elapsed) = tabmeta_obs::timed(names::SPAN_CLASSIFY, || -> Vec<Verdict> {
-            self.classify_corpus_cached(tables)
-        });
-        let secs = elapsed.as_secs_f64();
-        if secs > 0.0 {
-            tabmeta_obs::global()
-                .gauge(names::CLASSIFY_TABLES_PER_SEC)
-                .set(tables.len() as f64 / secs);
-        }
-        verdicts
-    }
-
-    /// The batched classify hot path: contiguous per-worker chunks (the
-    /// same slicing the rayon facade uses, so outputs stay in corpus
-    /// order), each worker reusing one [`ClassifyScratch`] across its
-    /// tables. Verdicts are bit-identical to per-table
-    /// [`Pipeline::classify`] — scratch contents never influence values.
-    ///
-    /// [`ClassifyScratch`]: crate::classifier::ClassifyScratch
-    pub fn classify_corpus_cached(&self, tables: &[Table]) -> Vec<Verdict> {
-        let refs: Vec<&Table> = tables.iter().collect();
-        self.classify_refs_cached(&refs)
-    }
-
-    /// [`Pipeline::classify_corpus_cached`] over borrowed tables, for
-    /// callers (e.g. the hybrid router) whose batch is a scattered subset
-    /// of a larger corpus.
-    pub fn classify_refs_cached(&self, tables: &[&Table]) -> Vec<Verdict> {
-        if tables.is_empty() {
-            return Vec::new();
-        }
-        let workers = rayon::current_num_threads().max(1).min(tables.len());
-        let interned: usize;
-        let verdicts = if workers <= 1 {
-            let mut scratch =
-                self.scratch_pool.checkout().unwrap_or_else(|| self.classifier.scratch());
-            let out: Vec<Verdict> =
-                tables.iter().map(|t| self.classify_with_scratch(t, &mut scratch)).collect();
-            interned = scratch.interned_terms();
-            self.scratch_pool.checkin(scratch);
-            out
-        } else {
-            let chunk = tables.len().div_ceil(workers);
-            let mut chunk_results: Vec<(Vec<Verdict>, usize)> = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = tables
-                    .chunks(chunk)
-                    .map(|slice| {
-                        s.spawn(move || {
-                            let mut scratch = self
-                                .scratch_pool
-                                .checkout()
-                                .unwrap_or_else(|| self.classifier.scratch());
-                            let out: Vec<Verdict> = slice
+        let (per_chunk, elapsed) =
+            obs.timed(names::SPAN_CLASSIFY, || -> Vec<(Vec<Verdict>, usize)> {
+                chunks
+                    .par_iter()
+                    .map(|chunk| {
+                        self.with_pooled_scratch(|scratch| {
+                            let verdicts: Vec<Verdict> = chunk
                                 .iter()
-                                .map(|t| self.classify_with_scratch(t, &mut scratch))
+                                .map(|t| self.classify_with_scratch(t.borrow(), scratch))
                                 .collect();
-                            let n = scratch.interned_terms();
-                            self.scratch_pool.checkin(scratch);
-                            (out, n)
+                            (verdicts, scratch.interned_terms())
                         })
                     })
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(r) => chunk_results.push(r),
-                        // Re-raise a worker panic on the calling thread;
-                        // swallowing it would return a silently truncated
-                        // verdict list.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
+                    .collect()
             });
-            interned = chunk_results.iter().map(|(_, n)| n).sum();
-            chunk_results.into_iter().flat_map(|(out, _)| out).collect()
-        };
-        tabmeta_obs::global().gauge(names::CLASSIFY_INTERNED_TERMS).set(interned as f64);
-        verdicts
+        let secs = elapsed.as_secs_f64();
+        if secs > 0.0 {
+            obs.gauge(names::CLASSIFY_TABLES_PER_SEC).set(tables.len() as f64 / secs);
+        }
+        let interned: usize = per_chunk.iter().map(|(_, n)| n).sum();
+        obs.gauge(names::CLASSIFY_INTERNED_TERMS).set(interned as f64);
+        per_chunk.into_iter().flat_map(|(verdicts, _)| verdicts).collect()
+    }
+
+    /// [`Pipeline::classify_corpus`] under its earlier name, kept for
+    /// callers built against it.
+    pub fn classify_corpus_cached(&self, tables: &[Table]) -> Vec<Verdict> {
+        self.classify_corpus(tables)
+    }
+
+    /// Run `f` on a pooled warm scratch (a fresh one when none is idle),
+    /// then return the scratch to the pool.
+    fn with_pooled_scratch<R>(&self, f: impl FnOnce(&mut ClassifyScratch) -> R) -> R {
+        let mut scratch = self.scratch_pool.checkout().unwrap_or_else(|| self.classifier.scratch());
+        let out = f(&mut scratch);
+        self.scratch_pool.checkin(scratch);
+        out
     }
 
     /// The trained centroid model (paper Tables I–IV are views of this).
@@ -881,10 +844,10 @@ mod tests {
         let pipeline = Pipeline::train(&corpus.tables, &PipelineConfig::fast_seeded(33)).unwrap();
         let per_table: Vec<Verdict> = corpus.tables.iter().map(|t| pipeline.classify(t)).collect();
         assert_eq!(pipeline.classify_corpus_cached(&corpus.tables), per_table);
-        // The ref-based variant preserves the caller's (scattered) order.
+        // A batch of references preserves the caller's (scattered) order.
         let refs: Vec<&Table> = corpus.tables.iter().rev().collect();
         let rev: Vec<Verdict> = per_table.iter().rev().cloned().collect();
-        assert_eq!(pipeline.classify_refs_cached(&refs), rev);
+        assert_eq!(pipeline.classify_corpus(&refs), rev);
     }
 
     #[test]
@@ -906,10 +869,10 @@ mod tests {
                 .sum::<u64>()
         };
         let spans_before = classify_spans();
-        assert_eq!(pipeline.classify_corpus(&[]), Vec::<Verdict>::new());
+        assert_eq!(pipeline.classify_corpus::<Table>(&[]), Vec::<Verdict>::new());
         assert_eq!(gauge.get(), 0.0, "empty corpus records zero, not a stale rate");
         assert_eq!(classify_spans(), spans_before, "empty corpus opens no classify span");
-        assert_eq!(pipeline.classify_refs_cached(&[]), Vec::<Verdict>::new());
+        assert_eq!(pipeline.classify_corpus::<&Table>(&[]), Vec::<Verdict>::new());
     }
 
     #[test]
@@ -958,7 +921,8 @@ mod tests {
     fn trace_is_available_end_to_end() {
         let corpus = CorpusKind::Ckg.generate(&GeneratorConfig { n_tables: 60, seed: 5 });
         let pipeline = Pipeline::train(&corpus.tables, &PipelineConfig::fast_seeded(5)).unwrap();
-        let (v, trace) = pipeline.classify_with_trace(&corpus.tables[3]);
+        let (v, trace) =
+            pipeline.classify_with_trace(&corpus.tables[3], &mut pipeline.classify_scratch());
         assert!(!trace.is_empty());
         assert_eq!(v.rows.len(), corpus.tables[3].n_rows());
     }

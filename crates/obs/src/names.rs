@@ -25,7 +25,8 @@ pub const SPAN_BOOTSTRAP: &str = "bootstrap";
 pub const SPAN_FINETUNE: &str = "finetune";
 /// Centroid-range estimation stage.
 pub const SPAN_CENTROID: &str = "centroid";
-/// Corpus classification (root span of the inference path).
+/// One batch classify call — a corpus, a router batch or a served
+/// request (root span of the inference path).
 pub const SPAN_CLASSIFY: &str = "classify";
 /// Sentence extraction inside the embed stage.
 pub const SPAN_SENTENCES: &str = "sentences";
@@ -50,11 +51,6 @@ pub const SPAN_BENCH_TRAIN: &str = "bench.train";
 pub const SPAN_BENCH_INGEST: &str = "bench.ingest";
 /// Bench harness: one measured serve load-generation pass.
 pub const SPAN_BENCH_SERVE: &str = "bench.serve";
-
-// --- spans: serve path --------------------------------------------------
-
-/// One admitted request's classify work on its connection thread.
-pub const SPAN_SERVE_CLASSIFY: &str = "serve.classify";
 
 // --- spans: eval harness ----------------------------------------------
 
@@ -322,7 +318,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Span,
         unit: "µs",
         stage: "classify",
-        doc: "Parallel corpus classification",
+        doc: "One batch classify call (corpus, router batch or served request)",
     },
     MetricDef {
         name: SPAN_CLI_TRAIN,
@@ -380,15 +376,6 @@ pub static REGISTRY: &[MetricDef] = &[
         unit: "µs",
         stage: "bench",
         doc: "Bench harness: one measured serve load-generation pass",
-    },
-    // Spans — serve path.
-    MetricDef {
-        name: SPAN_SERVE_CLASSIFY,
-        suffix: "",
-        kind: Kind::Span,
-        unit: "µs",
-        stage: "serve",
-        doc: "One admitted request's classify work on its connection thread",
     },
     // Spans — eval harness.
     MetricDef {

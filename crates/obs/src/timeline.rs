@@ -8,12 +8,11 @@
 //! or as Chrome `trace_event` JSON loadable in `chrome://tracing` and
 //! Perfetto.
 //!
-//! Bounding: an open that would exceed the capacity is dropped (and
-//! counted); the matching close is then dropped too, so the recorded
-//! stream always keeps opens and closes balanced. Closes of spans that
-//! were admitted *before* saturation are always recorded, so the buffer
-//! may briefly exceed capacity by the number of spans in flight at the
-//! moment it filled.
+//! Bounding: an open is admitted only while the buffer has room for it,
+//! its own close, and the close of every span admitted before it that is
+//! still open; otherwise it is dropped (and counted), and its close is
+//! dropped too. The recorded stream therefore keeps opens and closes
+//! balanced, and the log never holds more than its capacity of events.
 
 use crate::lockorder::{self, TrackedMutex};
 use serde::{Deserialize, Serialize};
@@ -84,6 +83,9 @@ pub struct TraceEvent {
 struct Buffer {
     events: Vec<TraceEvent>,
     capacity: usize,
+    /// Admitted opens whose close has not landed yet: each holds one
+    /// reserved slot.
+    unclosed: usize,
 }
 
 /// Bounded buffered event log; one per [`crate::SpanRecorder`].
@@ -111,7 +113,7 @@ impl Timeline {
             dropped: AtomicU64::new(0),
             buffer: TrackedMutex::new(
                 &lockorder::OBS_TIMELINE,
-                Buffer { events: Vec::new(), capacity },
+                Buffer { events: Vec::new(), capacity, unclosed: 0 },
             ),
         }
     }
@@ -131,7 +133,8 @@ impl Timeline {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Change the capacity bound (existing events are kept).
+    /// Change the capacity bound (existing events are kept, even past a
+    /// lowered bound).
     pub fn set_capacity(&self, capacity: usize) {
         self.buffer.lock().capacity = capacity;
     }
@@ -144,10 +147,12 @@ impl Timeline {
             return false;
         }
         let mut buf = self.buffer.lock();
-        if buf.events.len() >= buf.capacity {
+        // This open, its close, and the reserved closes of spans in flight.
+        if buf.events.len() + buf.unclosed + 2 > buf.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
+        buf.unclosed += 1;
         // Stamped under the lock, so buffer order is timestamp order.
         buf.events.push(TraceEvent {
             ts_micros: self.now_micros(),
@@ -159,14 +164,15 @@ impl Timeline {
     }
 
     /// Record a span close. `admitted` is the return of the matching
-    /// [`Timeline::open`]; closes of admitted opens are always recorded
-    /// (even past capacity) to keep the stream balanced.
+    /// [`Timeline::open`]; the close of an admitted open always lands in
+    /// the slot its open reserved, keeping the stream balanced.
     pub fn close(&self, path: &str, admitted: bool) {
         if !admitted {
             return;
         }
         // Stamped under the lock, so buffer order is timestamp order.
         let mut buf = self.buffer.lock();
+        buf.unclosed = buf.unclosed.saturating_sub(1);
         buf.events.push(TraceEvent {
             ts_micros: self.now_micros(),
             kind: EventKind::Close,
@@ -367,18 +373,44 @@ mod tests {
 
     #[test]
     fn capacity_drops_whole_spans_keeping_balance() {
-        let t = Timeline::with_capacity(2);
-        let a = t.open("a"); // admitted (1 event)
-        let b = t.open("a/b"); // admitted (2 events, at capacity)
-        let c = t.open("a/b/c"); // dropped
+        let t = Timeline::with_capacity(4);
+        let a = t.open("a"); // admitted: 1 event, 1 close reserved
+        let b = t.open("a/b"); // admitted: 2 events, 2 closes reserved (full)
+        let c = t.open("a/b/c"); // dropped: no room for it and its close
         assert!(a && b && !c);
         t.close("a/b/c", c); // no orphan close
-        t.close("a/b", b); // overshoot: admitted closes always land
+        t.close("a/b", b); // admitted closes land in their reserved slots
+        let d = t.open("a/d"); // dropped: a's close still holds the last slot
+        assert!(!d);
+        t.close("a/d", d);
         t.close("a", a);
         let snap = t.snapshot();
-        assert_eq!(snap.dropped, 1);
+        assert_eq!(snap.dropped, 2);
         assert_eq!(snap.events.len(), 4);
+        assert!(snap.events.len() as u64 <= snap.capacity, "never past capacity");
         snap.validate().expect("dropped span leaves no imbalance");
+    }
+
+    #[test]
+    fn concurrent_spans_never_exceed_capacity() {
+        // Odd, so the buffer fills with a span still open.
+        let t = Timeline::with_capacity(63);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..100 {
+                        let a = t.open("a");
+                        let b = t.open("a/b");
+                        t.close("a/b", b);
+                        t.close("a", a);
+                    }
+                });
+            }
+        });
+        let snap = t.snapshot();
+        assert!(snap.events.len() <= 63, "{} events", snap.events.len());
+        assert!(snap.dropped > 0);
+        snap.validate().expect("concurrent drops keep every thread balanced");
     }
 
     #[test]

@@ -276,7 +276,15 @@ mod tests {
         assert!(stats.admissions_conserved(), "{stats:?}");
     }
 
+    /// Every body that holds a request through the process-wide
+    /// `HOLD_REQUEST_ID` switch runs here, in sequence: as separate tests,
+    /// one body's release would free the other's held request.
     #[test]
+    fn held_permit_sheds_expires_and_wakes_waiters() {
+        saturated_server_sheds_overloaded_and_deadline_exceeded();
+        released_permit_wakes_the_parked_request();
+    }
+
     fn saturated_server_sheds_overloaded_and_deadline_exceeded() {
         use std::sync::atomic::Ordering::Relaxed;
         let (pipeline, tables) = train(71);
@@ -327,6 +335,50 @@ mod tests {
         let stats = server.shutdown().unwrap();
         assert!(stats.admissions_conserved(), "{stats:?}");
         assert_eq!((stats.ok, stats.deadline_exceeded, stats.overloaded), (1, 1, 1), "{stats:?}");
+    }
+
+    fn released_permit_wakes_the_parked_request() {
+        use std::sync::atomic::Ordering::Relaxed;
+        const DEADLINE_MS: u64 = 10_000;
+        let (pipeline, tables) = train(73);
+        let offline: Vec<_> = tables[..2].iter().map(|t| pipeline.classify(t)).collect();
+        let server = Server::start(
+            ServingModel { pipeline, fingerprint: 6 },
+            ServeConfig { workers: 1, deadline_ms: DEADLINE_MS, ..ServeConfig::default() },
+            "127.0.0.1:0",
+            None,
+        )
+        .unwrap();
+        const HELD: u64 = 0xdead_0003;
+        server::HOLD_REQUEST_ID.store(HELD, Relaxed);
+        let addr = server.local_addr();
+        let send = |id: u64| {
+            let request = Request { id, tables: tables[..2].to_vec() };
+            std::thread::spawn(move || Client::connect(addr, 2 * DEADLINE_MS)?.call(&request))
+        };
+
+        // A holds the only classify permit; B parks waiting for it.
+        let a = send(HELD);
+        assert!(wait_until(5_000, || server.stats().in_flight == 1), "{:?}", server.stats());
+        let b = send(14);
+        assert!(wait_until(5_000, || server.stats().queue_depth == 1), "{:?}", server.stats());
+
+        // Releasing A frees the permit, and its notify wakes B: B is
+        // served well inside its deadline, not when the deadline's final
+        // re-check would find the permit free.
+        let released = clock::monotonic_millis();
+        server::HOLD_REQUEST_ID.store(u64::MAX, Relaxed);
+        let a = a.join().unwrap().unwrap();
+        assert_eq!(a.parsed_status(), Some(Status::Ok));
+        let b = b.join().unwrap().unwrap();
+        let waited = clock::monotonic_millis().saturating_sub(released);
+        assert_eq!(b.parsed_status(), Some(Status::Ok), "{b:?}");
+        assert_eq!(b.verdicts, offline);
+        assert!(waited < DEADLINE_MS / 2, "B woke only after {waited} ms");
+
+        let stats = server.shutdown().unwrap();
+        assert!(stats.admissions_conserved(), "{stats:?}");
+        assert_eq!((stats.ok, stats.deadline_exceeded), (2, 0), "{stats:?}");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   `overloaded` response with a retry hint, so the wait never grows
 //!   unbounded. The handler then waits at most `deadline_ms` for one of
 //!   `workers` classify permits (typed `deadline_exceeded` on timeout),
-//!   classifies through the shared [`Pipeline`]'s pooled-scratch batch
-//!   path, releases the permit, and writes the reply;
+//!   classifies through the shared [`Pipeline`]'s batch call
+//!   ([`Pipeline::classify_corpus`], which times the request under its
+//!   one `classify` span), releases the permit, and writes the reply;
 //! * an optional **watcher** polls the model path and atomically swaps
 //!   the model `Arc` when a changed artifact passes deep validation —
 //!   in-flight requests finish on the model they started with, and a
@@ -272,8 +273,6 @@ impl Shared {
         // Snapshot the model once: a hot reload swapping the slot
         // mid-request cannot change the model this request sees.
         let model = Arc::clone(&self.model.read());
-        let obs = tabmeta_obs::global();
-        let _span = obs.span(names::SPAN_SERVE_CLASSIFY);
         // A panic inside classification must not take the handler down
         // with its permit — the permits would leak until no admitted
         // request could ever be answered. Catch it and reject the one
@@ -287,7 +286,7 @@ impl Shared {
             while request.id == HOLD_REQUEST_ID.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            model.pipeline.classify_corpus_cached(&request.tables)
+            model.pipeline.classify_corpus(&request.tables)
         }));
         match classified {
             Ok(verdicts) => {

@@ -149,7 +149,7 @@ fn main() {
         // Exercise the parallel corpus path (the "classify" span) and keep
         // one angle-walk trace for the telemetry export.
         let _ = methods.ours.classify_corpus(&split.test);
-        methods.ours.classify_with_trace(&split.test[0]).1
+        methods.ours.classify_with_trace(&split.test[0], &mut methods.ours.classify_scratch()).1
     };
 
     // Ablations (DESIGN.md §4).

@@ -36,7 +36,7 @@ fn main() {
         println!("  … ({} more rows)", table.n_rows() - 8);
     }
 
-    let (verdict, trace) = pipeline.classify_with_trace(table);
+    let (verdict, trace) = pipeline.classify_with_trace(table, &mut pipeline.classify_scratch());
     let ranges = pipeline.centroids();
 
     println!("\n=== the angle walk (Fig. 5) ===\n");

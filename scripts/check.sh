@@ -25,6 +25,20 @@ echo "==> cargo test -q (resilience: chaos + data-path crates)"
 RAYON_NUM_THREADS=4 cargo test -q --offline --test chaos
 cargo test -q --offline -p tabmeta-resilience -p tabmeta-tabular -p tabmeta-core -p tabmeta-text
 
+# Crate-test gate: the root runs above build only the root package's test
+# binaries, and the -p stages around this one cover resilience, tabular,
+# core, text, bench and obs. This stage runs the unit and integration
+# tests of every other workspace member: the server (shedding, poisoned
+# requests, the permit wake path), the lint (lock-order sync, fixture
+# snapshot, workspace self-check, LINTS.md sync), the linalg kernel
+# proptests, embed, corpora, baselines, and the vendored crates that
+# carry tests. tabmeta-eval's experiments run in release: in debug they
+# take many minutes.
+echo "==> cargo test -q (remaining workspace crates)"
+cargo test -q --offline -p tabmeta-serve -p tabmeta-lint -p tabmeta-linalg -p tabmeta-embed \
+  -p tabmeta-corpora -p tabmeta-baselines -p rayon -p rand -p proptest -p criterion
+cargo test -q --offline --release -p tabmeta-eval
+
 # Crash-recovery gate: 20 seeded kill-points across both embedders; every
 # resume must be byte-identical to the uninterrupted run, and corrupted
 # checkpoints must quarantine with a typed reason, never load. Pinned to

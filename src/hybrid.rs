@@ -104,10 +104,10 @@ impl HybridClassifier {
 
     /// Classify a corpus, returning verdicts plus the fraction routed deep.
     ///
-    /// Deep-routed tables are batched through the pipeline's cached
-    /// classify path (per-worker scratch, shared term interner) instead of
-    /// paying the per-table setup cost one call at a time; the cheap path
-    /// stays per-table. Verdicts and ordering are identical to calling
+    /// Deep-routed tables go to the pipeline as one batch
+    /// ([`Pipeline::classify_corpus`]: per-worker scratch, shared term
+    /// interner) instead of one call at a time; the cheap path stays
+    /// per-table. Verdicts and ordering are identical to calling
     /// [`HybridClassifier::classify`] per table.
     pub fn classify_corpus(&self, tables: &[Table]) -> (Vec<Verdict>, f64) {
         let mut deep_refs: Vec<&Table> = Vec::new();
@@ -121,7 +121,7 @@ impl HybridClassifier {
             }
         }
         let deep = deep_refs.len();
-        let mut deep_verdicts = self.pipeline.classify_refs_cached(&deep_refs).into_iter();
+        let mut deep_verdicts = self.pipeline.classify_corpus(&deep_refs).into_iter();
         let verdicts: Vec<Verdict> = verdicts
             .into_iter()
             .map(|v| v.unwrap_or_else(|| deep_verdicts.next().expect("one verdict per deep table")))

@@ -53,7 +53,7 @@ fn pipeline_is_total_on_pathological_tables() {
         let v = pipeline.classify(&t);
         assert_eq!(v.rows.len(), t.n_rows(), "table {}", t.id);
         assert_eq!(v.columns.len(), t.n_cols(), "table {}", t.id);
-        let (v2, trace) = pipeline.classify_with_trace(&t);
+        let (v2, trace) = pipeline.classify_with_trace(&t, &mut pipeline.classify_scratch());
         assert_eq!(v, v2, "trace must not change the verdict, table {}", t.id);
         assert!(trace.len() <= t.n_rows() + t.n_cols() + 2);
     }
