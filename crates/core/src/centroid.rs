@@ -136,8 +136,8 @@ impl Default for CentroidOptions {
 
 /// Accumulators for one axis during estimation.
 ///
-/// Serializable so the streaming trainer can checkpoint the partial
-/// reduce state at every shard boundary; the sample vectors round-trip
+/// Serializable so training can checkpoint the partial reduce state at
+/// every logical shard boundary; the sample vectors round-trip
 /// through JSON bit-exactly (the same f32 path the envelope tests pin),
 /// which is what makes kill-and-resume byte-identical.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -348,51 +348,21 @@ impl AxisAccumulator {
     }
 }
 
-/// Feed one weakly-labeled table into the row/column accumulator pair —
-/// the shared inner step of [`estimate`], [`estimate_par`], and the
-/// streaming per-shard map phase.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn observe_table_pair<E: TermEmbedder + ?Sized>(
-    rows_acc: &mut AxisAccumulator,
-    cols_acc: &mut AxisAccumulator,
-    table: &Table,
-    labels: &WeakLabels,
-    embedder: &E,
-    tokenizer: &Tokenizer,
-    options: &CentroidOptions,
-    rng: &mut StdRng,
-) {
-    let row_vecs = axis_vectors(table, Axis::Row, embedder, tokenizer);
-    rows_acc.observe_table(
-        &row_vecs,
-        &labels.metadata_indices(Axis::Row),
-        &labels.data_indices(Axis::Row),
-        options,
-        rng,
-    );
-    let col_vecs = axis_vectors(table, Axis::Column, embedder, tokenizer);
-    cols_acc.observe_table(
-        &col_vecs,
-        &labels.metadata_indices(Axis::Column),
-        &labels.data_indices(Axis::Column),
-        options,
-        rng,
-    );
-}
-
 /// Centroid map-reduce fold state at a logical shard boundary, carried
-/// by streaming-training checkpoints.
+/// by training checkpoints.
 ///
-/// Holds the running folded accumulators (rows merged before columns,
-/// matching [`estimate_par`]'s fold order), the base-seed RNG position
-/// the merges advanced, and the bootstrap provenance tally that the
-/// final [`crate::pipeline::TrainSummary`] reports — everything the
-/// resumed pass cannot recompute without re-observing the shards it
-/// skips.
+/// Holds the running folded accumulators (rows merged before columns),
+/// the base-seed RNG position shard 0 and the merges advanced, and the
+/// bootstrap provenance tally that the final
+/// [`crate::pipeline::TrainSummary`] reports — everything the resumed
+/// pass cannot recompute without re-observing the shards it skips.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CentroidShardResume {
     /// Logical shards fully folded into the accumulators.
     pub shards_done: usize,
+    /// Tables folded into the accumulators — what a resumed pass skips,
+    /// whatever shard size the resuming run folds with.
+    pub tables_done: usize,
     /// Tables whose weak labels came from markup, over the folded shards.
     pub markup_bootstrapped: usize,
     /// Base-seed RNG position after `shards_done` folds.
@@ -403,46 +373,219 @@ pub struct CentroidShardResume {
     pub(crate) cols: AxisAccumulator,
 }
 
-/// Estimate a [`CentroidModel`] from weakly-labeled tables.
-///
-/// `tables` and `weak` must be index-aligned.
-pub fn estimate<E: TermEmbedder + ?Sized>(
-    tables: &[Table],
-    weak: &[WeakLabels],
-    embedder: &E,
-    tokenizer: &Tokenizer,
-    options: &CentroidOptions,
-) -> CentroidModel {
-    assert_eq!(tables.len(), weak.len(), "tables and weak labels must align");
-    let dim = embedder.dim();
-    let mut rows_acc = AxisAccumulator::new(dim);
-    let mut cols_acc = AxisAccumulator::new(dim);
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    for (table, labels) in tables.iter().zip(weak) {
-        observe_table_pair(
-            &mut rows_acc,
-            &mut cols_acc,
-            table,
-            labels,
-            embedder,
-            tokenizer,
-            options,
-            &mut rng,
-        );
+/// The map state of one logical shard: its accumulator pair, the RNG it
+/// observes on, and its table and markup tallies.
+struct ShardAccumulator {
+    rows: AxisAccumulator,
+    cols: AxisAccumulator,
+    rng: StdRng,
+    tables: usize,
+    markup: usize,
+}
+
+impl ShardAccumulator {
+    /// Shard 0 observes on the base stream (`seed`), so a one-shard fold
+    /// is the sequential estimate exactly; shard `s > 0` observes on its
+    /// own stream, `seed ^ (s + 1)`.
+    fn new(index: usize, dim: usize, options: &CentroidOptions) -> Self {
+        let seed = if index == 0 { options.seed } else { options.seed ^ (index as u64 + 1) };
+        Self {
+            rows: AxisAccumulator::new(dim),
+            cols: AxisAccumulator::new(dim),
+            rng: StdRng::seed_from_u64(seed),
+            tables: 0,
+            markup: 0,
+        }
     }
-    CentroidModel {
-        rows: rows_acc.finish(options, &mut rng),
-        columns: cols_acc.finish(options, &mut rng),
+
+    fn observe<E: TermEmbedder + ?Sized>(
+        &mut self,
+        tables: &[Table],
+        weak: &[WeakLabels],
+        embedder: &E,
+        tokenizer: &Tokenizer,
+        options: &CentroidOptions,
+    ) {
+        for (table, labels) in tables.iter().zip(weak) {
+            for (acc, axis) in [(&mut self.rows, Axis::Row), (&mut self.cols, Axis::Column)] {
+                acc.observe_table(
+                    &axis_vectors(table, axis, embedder, tokenizer),
+                    &labels.metadata_indices(axis),
+                    &labels.data_indices(axis),
+                    options,
+                    &mut self.rng,
+                );
+            }
+            self.tables += 1;
+            self.markup += usize::from(labels.from_markup);
+        }
     }
 }
 
-/// [`estimate`] with map-reduce sharding: tables are split into one
-/// contiguous shard per worker, each shard accumulates independently with
-/// its own RNG stream (`seed ⊕ (shard+1)`), and the per-shard accumulators
-/// fold together in shard order before `finish` draws cross-table pairs
-/// with the base seed. Deterministic for a fixed `(seed, threads)` pair;
-/// only `threads = 1` reproduces the sequential stream exactly.
-pub fn estimate_par<E: TermEmbedder + Sync + ?Sized>(
+/// Map-reduce centroid estimation over logical shards of
+/// `shard_tables` weakly-labeled tables, in corpus order.
+///
+/// Each shard accumulates on its own RNG stream (see
+/// [`ShardAccumulator::new`]); shard 0 *becomes* the fold, later shards
+/// merge into it on the base stream shard 0 left behind, and
+/// [`CentroidFold::finish`] draws the cross-table pairs on that stream.
+/// Shards share nothing while they fill, so [`CentroidFold::observe`]
+/// maps a batch's fresh shards in parallel when asked, and the result
+/// depends neither on the worker count nor on how batches split the
+/// corpus — only on `shard_tables`.
+pub(crate) struct CentroidFold<'o> {
+    options: &'o CentroidOptions,
+    dim: usize,
+    shard_tables: usize,
+    /// The folded shards: accumulators, base RNG, markup tally.
+    base: ShardAccumulator,
+    shards_done: usize,
+    /// The partially filled shard `shards_done`.
+    current: ShardAccumulator,
+}
+
+impl<'o> CentroidFold<'o> {
+    /// A fold over shards of `shard_tables` tables (at least one), fresh
+    /// or continuing from a checkpointed state.
+    pub(crate) fn new(
+        options: &'o CentroidOptions,
+        dim: usize,
+        shard_tables: usize,
+        resume: Option<CentroidShardResume>,
+    ) -> Self {
+        let shard_tables = shard_tables.max(1);
+        let (base, shards_done) = match resume {
+            Some(r) => (
+                ShardAccumulator {
+                    rows: r.rows,
+                    cols: r.cols,
+                    rng: StdRng::from_state(r.rng),
+                    tables: r.tables_done,
+                    markup: r.markup_bootstrapped,
+                },
+                r.shards_done,
+            ),
+            None => (ShardAccumulator::new(0, dim, options), 0),
+        };
+        let current = ShardAccumulator::new(shards_done, dim, options);
+        Self { options, dim, shard_tables, base, shards_done, current }
+    }
+
+    /// Logical shards folded so far.
+    pub(crate) fn shards_done(&self) -> usize {
+        self.shards_done
+    }
+
+    /// Leading tables the folded shards already cover — what a resumed
+    /// pass skips.
+    pub(crate) fn tables_done(&self) -> usize {
+        self.base.tables
+    }
+
+    /// The fold state for a checkpoint.
+    pub(crate) fn resume_state(&self) -> CentroidShardResume {
+        CentroidShardResume {
+            shards_done: self.shards_done,
+            tables_done: self.base.tables,
+            markup_bootstrapped: self.base.markup,
+            rng: self.base.rng.state(),
+            rows: self.base.rows.clone(),
+            cols: self.base.cols.clone(),
+        }
+    }
+
+    /// Observe the next `tables` of the corpus with their weak labels,
+    /// folding every shard they complete and calling `on_fold` after
+    /// each fold; an error from `on_fold` stops the fold there. At
+    /// `threads > 1` the batch's fresh shards are mapped in parallel.
+    pub(crate) fn observe<E: TermEmbedder + Sync + ?Sized, X>(
+        &mut self,
+        tables: &[Table],
+        weak: &[WeakLabels],
+        embedder: &E,
+        tokenizer: &Tokenizer,
+        threads: usize,
+        mut on_fold: impl FnMut(&Self) -> Result<(), X>,
+    ) -> Result<(), X> {
+        assert_eq!(tables.len(), weak.len(), "tables and weak labels must align");
+        let (options, dim) = (self.options, self.dim);
+        // A partially filled shard continues in place.
+        let head = if self.current.tables > 0 {
+            (self.shard_tables - self.current.tables).min(tables.len())
+        } else {
+            0
+        };
+        self.current.observe(&tables[..head], &weak[..head], embedder, tokenizer, options);
+        if self.current.tables == self.shard_tables {
+            self.fold_current();
+            on_fold(self)?;
+        }
+        let first = self.shards_done;
+        let shards: Vec<(usize, &[Table], &[WeakLabels])> = tables[head..]
+            .chunks(self.shard_tables)
+            .zip(weak[head..].chunks(self.shard_tables))
+            .enumerate()
+            .map(|(k, (t, w))| (first + k, t, w))
+            .collect();
+        let map = |&(index, t, w): &(usize, &[Table], &[WeakLabels])| {
+            let mut shard = ShardAccumulator::new(index, dim, options);
+            shard.observe(t, w, embedder, tokenizer, options);
+            shard
+        };
+        let mapped: Vec<ShardAccumulator> = if threads > 1 && shards.len() > 1 {
+            shards.par_iter().map(map).collect()
+        } else {
+            shards.iter().map(map).collect()
+        };
+        for shard in mapped {
+            self.current = shard;
+            if self.current.tables == self.shard_tables {
+                self.fold_current();
+                on_fold(self)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold the current shard into the base and start the next one.
+    fn fold_current(&mut self) {
+        let next = ShardAccumulator::new(self.shards_done + 1, self.dim, self.options);
+        let shard = std::mem::replace(&mut self.current, next);
+        if self.shards_done == 0 {
+            self.base = shard;
+        } else {
+            let base = &mut self.base;
+            base.rows.merge(shard.rows, self.options, &mut base.rng);
+            base.cols.merge(shard.cols, self.options, &mut base.rng);
+            base.tables += shard.tables;
+            base.markup += shard.markup;
+        }
+        self.shards_done += 1;
+    }
+
+    /// Fold the trailing partial shard, then finish both axes on the base
+    /// stream. Returns the model, the shards folded, and how many tables
+    /// were weakly labeled from markup.
+    pub(crate) fn finish(mut self) -> (CentroidModel, usize, usize) {
+        if self.current.tables > 0 {
+            self.fold_current();
+        }
+        let ShardAccumulator { rows, cols, mut rng, markup, .. } = self.base;
+        let model = CentroidModel {
+            rows: rows.finish(self.options, &mut rng),
+            columns: cols.finish(self.options, &mut rng),
+        };
+        (model, self.shards_done, markup)
+    }
+}
+
+/// Estimate a [`CentroidModel`] from weakly-labeled tables.
+///
+/// `tables` and `weak` must be index-aligned. The corpus folds as
+/// `threads` logical shards of equal size mapped in parallel; at
+/// `threads <= 1` it is one shard, the deterministic sequential stream.
+/// Training runs the same fold over its table source.
+pub fn estimate<E: TermEmbedder + Sync + ?Sized>(
     tables: &[Table],
     weak: &[WeakLabels],
     embedder: &E,
@@ -450,51 +593,12 @@ pub fn estimate_par<E: TermEmbedder + Sync + ?Sized>(
     options: &CentroidOptions,
     threads: usize,
 ) -> CentroidModel {
-    assert_eq!(tables.len(), weak.len(), "tables and weak labels must align");
-    if threads <= 1 || tables.len() < 2 {
-        return estimate(tables, weak, embedder, tokenizer, options);
-    }
-    let dim = embedder.dim();
-    let chunk = tables.len().div_ceil(threads).max(1);
-    let shards: Vec<(u64, &[Table], &[WeakLabels])> = tables
-        .chunks(chunk)
-        .zip(weak.chunks(chunk))
-        .enumerate()
-        .map(|(s, (t, w))| (s as u64, t, w))
-        .collect();
-    let per_shard: Vec<(AxisAccumulator, AxisAccumulator)> = shards
-        .par_iter()
-        .map(|&(shard, shard_tables, shard_weak)| {
-            let mut rows_acc = AxisAccumulator::new(dim);
-            let mut cols_acc = AxisAccumulator::new(dim);
-            let mut rng = StdRng::seed_from_u64(options.seed ^ (shard + 1));
-            for (table, labels) in shard_tables.iter().zip(shard_weak) {
-                observe_table_pair(
-                    &mut rows_acc,
-                    &mut cols_acc,
-                    table,
-                    labels,
-                    embedder,
-                    tokenizer,
-                    options,
-                    &mut rng,
-                );
-            }
-            (rows_acc, cols_acc)
-        })
-        .collect();
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut folded = per_shard.into_iter();
-    let (mut rows_acc, mut cols_acc) =
-        folded.next().unwrap_or_else(|| (AxisAccumulator::new(dim), AxisAccumulator::new(dim)));
-    for (rows, cols) in folded {
-        rows_acc.merge(rows, options, &mut rng);
-        cols_acc.merge(cols, options, &mut rng);
-    }
-    CentroidModel {
-        rows: rows_acc.finish(options, &mut rng),
-        columns: cols_acc.finish(options, &mut rng),
-    }
+    let threads = threads.max(1);
+    let mut fold = CentroidFold::new(options, embedder.dim(), tables.len().div_ceil(threads), None);
+    let Ok(()) = fold.observe(tables, weak, embedder, tokenizer, threads, |_| {
+        Ok::<(), std::convert::Infallible>(())
+    });
+    fold.finish().0
 }
 
 #[cfg(test)]
@@ -566,6 +670,7 @@ mod tests {
             &TwoCluster::new(),
             &Tokenizer::default(),
             &CentroidOptions::default(),
+            1,
         );
         let rows = &model.rows;
         assert!(rows.is_usable());
@@ -591,6 +696,7 @@ mod tests {
             &TwoCluster::new(),
             &Tokenizer::default(),
             &CentroidOptions::default(),
+            1,
         );
         // Positional fallback gives exactly level-1 weak metadata.
         assert_eq!(model.rows.levels.len(), 1);
@@ -609,8 +715,8 @@ mod tests {
         let e = TwoCluster::new();
         let tok = Tokenizer::default();
         let opts = CentroidOptions::default();
-        let a = estimate(&tables, &weak, &e, &tok, &opts);
-        let b = estimate(&tables, &weak, &e, &tok, &opts);
+        let a = estimate(&tables, &weak, &e, &tok, &opts, 1);
+        let b = estimate(&tables, &weak, &e, &tok, &opts, 1);
         assert_eq!(a, b);
     }
 
@@ -622,8 +728,8 @@ mod tests {
         let e = TwoCluster::new();
         let tok = Tokenizer::default();
         let opts = CentroidOptions::default();
-        let seq = estimate(&tables, &weak, &e, &tok, &opts);
-        let par = estimate_par(&tables, &weak, &e, &tok, &opts, 3);
+        let seq = estimate(&tables, &weak, &e, &tok, &opts, 1);
+        let par = estimate(&tables, &weak, &e, &tok, &opts, 3);
         assert!(par.rows.is_usable());
         // Shard RNG streams differ from the sequential stream, so ranges
         // are statistically — not bitwise — equal. On this synthetic
@@ -648,11 +754,11 @@ mod tests {
         let e = TwoCluster::new();
         let tok = Tokenizer::default();
         let opts = CentroidOptions::default();
-        let a = estimate_par(&tables, &weak, &e, &tok, &opts, 3);
-        let b = estimate_par(&tables, &weak, &e, &tok, &opts, 3);
+        let a = estimate(&tables, &weak, &e, &tok, &opts, 3);
+        let b = estimate(&tables, &weak, &e, &tok, &opts, 3);
         assert_eq!(a, b, "fixed (seed, threads) must reproduce the model");
-        let single = estimate_par(&tables, &weak, &e, &tok, &opts, 1);
-        assert_eq!(single, estimate(&tables, &weak, &e, &tok, &opts));
+        let single = estimate(&tables, &weak, &e, &tok, &opts, 1);
+        assert_eq!(single, estimate(&tables, &weak, &e, &tok, &opts, 1));
     }
 
     #[test]
@@ -665,8 +771,7 @@ mod tests {
         let labeler = BootstrapLabeler::default();
         let weak: Vec<WeakLabels> = tables.iter().map(|t| labeler.label(t)).collect();
         let opts = CentroidOptions { reservoir: 8, ..CentroidOptions::default() };
-        let model =
-            estimate_par(&tables, &weak, &TwoCluster::new(), &Tokenizer::default(), &opts, 4);
+        let model = estimate(&tables, &weak, &TwoCluster::new(), &Tokenizer::default(), &opts, 4);
         // c_mde comes from reservoir cross-pairs; it must still be usable.
         assert!(!model.rows.c_mde.is_empty());
     }
@@ -681,6 +786,7 @@ mod tests {
             &TwoCluster::new(),
             &Tokenizer::default(),
             &CentroidOptions::default(),
+            1,
         );
     }
 
@@ -692,6 +798,7 @@ mod tests {
             &TwoCluster::new(),
             &Tokenizer::default(),
             &CentroidOptions::default(),
+            1,
         );
         assert!(!model.rows.is_usable());
         assert!(!model.columns.is_usable());

@@ -18,9 +18,10 @@
 //! quarantine report from the ingestion layer.
 
 use crate::centroid::CentroidShardResume;
-use crate::finetune::FinetuneResume;
+use crate::finetune::{FinetuneReport, FinetuneResume};
 use crate::persist::{atomic_write, decode_envelope, encode_envelope, ArtifactError};
 use crate::pipeline::AnyEmbedder;
+use crate::stream::StreamBoundary;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use tabmeta_embed::{IntegrityFault, SgnsResume};
@@ -40,13 +41,14 @@ pub enum CheckpointStage {
         /// Fine-tune loop state.
         resume: FinetuneResume,
     },
-    /// Out-of-core centroid map-reduce (streaming training only; ranks
-    /// past both in-memory stages). SGNS is complete; the partial
-    /// per-axis fold state is carried so a kill at any logical shard
-    /// boundary resumes to a byte-identical same-seed result.
+    /// Centroid map-reduce (last stage). The embedder is final; the
+    /// partial per-axis fold state is carried so a kill at any logical
+    /// shard boundary resumes to a byte-identical same-seed result.
     CentroidShard {
         /// Total SGNS pairs processed by the completed embedding stage.
         sgns_pairs: u64,
+        /// Report of the completed fine-tune stage, if it ran.
+        finetune: Option<FinetuneReport>,
         /// Centroid fold state at the shard boundary (boxed: the fold
         /// accumulators dwarf the other variants).
         resume: Box<CentroidShardResume>,
@@ -63,14 +65,16 @@ impl CheckpointStage {
         }
     }
 
-    /// Global epoch index (SGNS epochs count from 0; fine-tune epochs and
-    /// streaming centroid shards continue after `sgns_epochs`).
-    pub fn global_epoch(&self, sgns_epochs: u64) -> u64 {
+    /// The boundary this checkpoint was written at (see
+    /// [`StreamBoundary::global_epoch`] for its global epoch index).
+    pub fn boundary(&self) -> StreamBoundary {
         match self {
-            CheckpointStage::Sgns(s) => s.epochs_done as u64,
-            CheckpointStage::Finetune { resume, .. } => sgns_epochs + resume.epochs_done as u64,
+            CheckpointStage::Sgns(s) => StreamBoundary::SgnsEpoch(s.epochs_done as u64),
+            CheckpointStage::Finetune { resume, .. } => {
+                StreamBoundary::FinetuneEpoch(resume.epochs_done)
+            }
             CheckpointStage::CentroidShard { resume, .. } => {
-                sgns_epochs + resume.shards_done as u64
+                StreamBoundary::CentroidShard(resume.shards_done)
             }
         }
     }

@@ -18,6 +18,16 @@ pub enum EmbeddingChoice {
     CharGram(CharGramConfig),
 }
 
+impl EmbeddingChoice {
+    /// The SGNS hyper-parameters the chosen model trains with.
+    pub fn sgns(&self) -> &SgnsConfig {
+        match self {
+            EmbeddingChoice::Word2Vec(sgns) => sgns,
+            EmbeddingChoice::CharGram(cfg) => &cfg.sgns,
+        }
+    }
+}
+
 /// Full pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {

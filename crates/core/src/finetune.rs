@@ -68,7 +68,7 @@ pub struct FinetuneReport {
 
 /// Loop state of a fine-tune run at an epoch boundary: epoch counter, RNG
 /// position, and the accumulated report. Serialized into training
-/// checkpoints; restoring it via [`run_resumable`] continues the identical
+/// checkpoints; resuming from it continues the identical
 /// negative-mining stream, so a resumed run is bit-identical to an
 /// uninterrupted one (fine-tuning is always sequential).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -199,113 +199,141 @@ pub fn run_resumable<E: TunableEmbedder + ?Sized>(
     mut sink: Option<FinetuneSink<'_, E>>,
 ) -> (FinetuneReport, bool) {
     assert_eq!(tables.len(), weak.len(), "tables and weak labels must align");
-    use tabmeta_obs::names;
-    let obs = tabmeta_obs::global();
-    let pair_counter = obs.counter(names::FINETUNE_PAIRS);
-    let loss_gauge = obs.gauge(names::FINETUNE_LOSS);
-    let rate_gauge = obs.gauge(names::FINETUNE_PAIRS_PER_SEC);
-    let epoch_secs_gauge = obs.gauge(names::FINETUNE_EPOCH_SECS);
-    let (start_epoch, mut rng, mut report) = match resume {
-        Some(state) => (state.epochs_done, StdRng::from_state(state.rng), state.report),
-        None => (0, StdRng::seed_from_u64(config.seed), FinetuneReport::default()),
-    };
-    let mut interrupted = false;
-    for epoch in start_epoch..config.epochs {
-        let pairs_before = report.positive_updates + report.negative_updates + report.satisfied;
-        let (epoch_loss, elapsed) = obs.timed(names::SPAN_EPOCH, || {
-            let mut epoch_loss = 0.0f64;
+    let mut state = resume.unwrap_or_else(|| FinetuneResume::fresh(config));
+    while state.epochs_done < config.epochs {
+        state = epoch(state, |epoch| {
             for (table, labels) in tables.iter().zip(weak) {
-                for axis in [Axis::Row, Axis::Column] {
-                    let meta = labels.metadata_indices(axis);
-                    let data = labels.data_indices(axis);
-                    // Positive: every metadata level pair (runs are ≤5 levels,
-                    // so this is at most 10 pairs). All-pairs rather than
-                    // consecutive-only matters for deep hierarchies: level 1
-                    // and level 3 must also read as "both metadata".
-                    for a in 0..meta.len() {
-                        for b in a + 1..meta.len() {
-                            update_pair(
-                                table,
-                                axis,
-                                meta[a],
-                                meta[b],
-                                true,
-                                config,
-                                embedder,
-                                tokenizer,
-                                &mut report,
-                                &mut epoch_loss,
-                            );
-                        }
-                    }
-                    // Positive: consecutive data levels (capped).
-                    for w in data.windows(2).take(config.max_data_pairs) {
-                        update_pair(
-                            table,
-                            axis,
-                            w[0],
-                            w[1],
-                            true,
-                            config,
-                            embedder,
-                            tokenizer,
-                            &mut report,
-                            &mut epoch_loss,
-                        );
-                    }
-                    // Negative: metadata vs random data levels (capped). The
-                    // starting metadata level rotates each epoch so a run
-                    // deeper than the budget still gets negative pressure on
-                    // its tail levels, and budget is only spent on pairs that
-                    // actually evaluate (blank/OOV levels no-op for free).
-                    if !data.is_empty() && !meta.is_empty() {
-                        let mut budget = config.max_neg_pairs;
-                        for k in 0..meta.len() {
-                            if budget == 0 {
-                                break;
-                            }
-                            let m = meta[(k + epoch) % meta.len()];
-                            let d = data[rng.random_range(0..data.len())];
-                            if update_pair(
-                                table,
-                                axis,
-                                m,
-                                d,
-                                false,
-                                config,
-                                embedder,
-                                tokenizer,
-                                &mut report,
-                                &mut epoch_loss,
-                            ) {
-                                budget -= 1;
-                            }
-                        }
-                    }
-                }
+                epoch.tune(table, labels, embedder, tokenizer, config);
             }
-            epoch_loss
-        });
-        let epoch_pairs =
-            report.positive_updates + report.negative_updates + report.satisfied - pairs_before;
-        pair_counter.add(epoch_pairs);
-        let secs = elapsed.as_secs_f64();
-        epoch_secs_gauge.set(secs);
-        if epoch_pairs > 0 {
-            loss_gauge.set(epoch_loss / epoch_pairs as f64);
-            if secs > 0.0 {
-                rate_gauge.set(epoch_pairs as f64 / secs);
-            }
-        }
+        })
+        .0;
         if let Some(sink) = sink.as_mut() {
-            let state = FinetuneResume { epochs_done: epoch + 1, rng: rng.state(), report };
             if sink(&*embedder, &state).is_break() {
-                interrupted = true;
-                break;
+                return (state.report, true);
             }
         }
     }
-    (report, interrupted)
+    (state.report, false)
+}
+
+impl FinetuneResume {
+    /// Loop state before the first epoch: the mining RNG at `config.seed`.
+    pub fn fresh(config: &FinetuneConfig) -> Self {
+        Self {
+            epochs_done: 0,
+            rng: StdRng::seed_from_u64(config.seed).state(),
+            report: FinetuneReport::default(),
+        }
+    }
+}
+
+/// Run epoch `state.epochs_done`: `pass` feeds every weakly-labeled table
+/// to [`Epoch::tune`], in corpus order. The epoch is timed by the `epoch`
+/// span, its pairs, loss and rate go to the `finetune.*` metrics, and the
+/// loop state after it is returned with whatever `pass` returned.
+///
+/// Every pair the epoch draws lies inside one table and the mining RNG
+/// runs in table order, so a pass that streams the corpus in shards tunes
+/// exactly as one over a resident slice.
+pub(crate) fn epoch<R>(
+    state: FinetuneResume,
+    pass: impl FnOnce(&mut Epoch) -> R,
+) -> (FinetuneResume, R) {
+    use tabmeta_obs::names;
+    let obs = tabmeta_obs::global();
+    let pairs_before = state.report.pairs();
+    let mut epoch = Epoch {
+        index: state.epochs_done,
+        rng: StdRng::from_state(state.rng),
+        report: state.report,
+        loss: 0.0,
+    };
+    let (out, elapsed) = obs.timed(names::SPAN_EPOCH, || pass(&mut epoch));
+    let epoch_pairs = epoch.report.pairs() - pairs_before;
+    obs.counter(names::FINETUNE_PAIRS).add(epoch_pairs);
+    let secs = elapsed.as_secs_f64();
+    obs.gauge(names::FINETUNE_EPOCH_SECS).set(secs);
+    if epoch_pairs > 0 {
+        obs.gauge(names::FINETUNE_LOSS).set(epoch.loss / epoch_pairs as f64);
+        if secs > 0.0 {
+            obs.gauge(names::FINETUNE_PAIRS_PER_SEC).set(epoch_pairs as f64 / secs);
+        }
+    }
+    let next = FinetuneResume {
+        epochs_done: epoch.index + 1,
+        rng: epoch.rng.state(),
+        report: epoch.report,
+    };
+    (next, out)
+}
+
+impl FinetuneReport {
+    /// Pairs evaluated: updated either way, or found satisfied.
+    fn pairs(&self) -> u64 {
+        self.positive_updates + self.negative_updates + self.satisfied
+    }
+}
+
+/// One fine-tuning epoch in flight: its index (which rotates the negative
+/// budget), the mining RNG, the running report and the epoch's hinge
+/// loss.
+pub(crate) struct Epoch {
+    index: usize,
+    rng: StdRng,
+    report: FinetuneReport,
+    loss: f64,
+}
+
+impl Epoch {
+    /// Tune on one weakly-labeled table.
+    pub(crate) fn tune<E: TunableEmbedder + ?Sized>(
+        &mut self,
+        table: &Table,
+        labels: &WeakLabels,
+        embedder: &mut E,
+        tokenizer: &Tokenizer,
+        config: &FinetuneConfig,
+    ) {
+        let Self { index, rng, report, loss } = self;
+        for axis in [Axis::Row, Axis::Column] {
+            let meta = labels.metadata_indices(axis);
+            let data = labels.data_indices(axis);
+            let mut update = |i: usize, j: usize, positive: bool| {
+                update_pair(table, axis, i, j, positive, config, embedder, tokenizer, report, loss)
+            };
+            // Positive: every metadata level pair (runs are ≤5 levels, so
+            // this is at most 10 pairs). All-pairs rather than
+            // consecutive-only matters for deep hierarchies: level 1 and
+            // level 3 must also read as "both metadata".
+            for a in 0..meta.len() {
+                for b in a + 1..meta.len() {
+                    update(meta[a], meta[b], true);
+                }
+            }
+            // Positive: consecutive data levels (capped).
+            for w in data.windows(2).take(config.max_data_pairs) {
+                update(w[0], w[1], true);
+            }
+            // Negative: metadata vs random data levels (capped). The
+            // starting metadata level rotates each epoch so a run deeper
+            // than the budget still gets negative pressure on its tail
+            // levels, and budget is only spent on pairs that actually
+            // evaluate (blank/OOV levels no-op for free).
+            if !data.is_empty() && !meta.is_empty() {
+                let mut budget = config.max_neg_pairs;
+                for k in 0..meta.len() {
+                    if budget == 0 {
+                        break;
+                    }
+                    let m = meta[(k + *index) % meta.len()];
+                    let d = data[rng.random_range(0..data.len())];
+                    if update(m, d, false) {
+                        budget -= 1;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -14,24 +14,23 @@
 //! Centroids are estimated **after** fine-tuning so the recorded ranges
 //! describe the tuned geometry the classifier will actually measure.
 
-use crate::bootstrap::WeakLabels;
-use crate::centroid::{self, AxisCentroids, CentroidModel};
-use crate::checkpoint::{CheckpointStage, CheckpointStore, TrainCheckpoint};
+use crate::centroid::{AxisCentroids, CentroidModel};
 use crate::classifier::{Classifier, ClassifyScratch, TraceStep, Verdict};
-use crate::config::{EmbeddingChoice, PipelineConfig};
-use crate::finetune::{self, FinetuneReport, FinetuneResume};
+use crate::config::PipelineConfig;
+use crate::finetune::FinetuneReport;
 use crate::persist::ArtifactError;
+use crate::stream::{StreamBoundary, StreamHook, StreamSummary};
 use rayon::prelude::*;
 use std::borrow::Borrow;
-use std::ops::ControlFlow;
-use tabmeta_embed::{
-    sentences_from_tables_par, CharGram, IntegrityFault, SgnsResume, TermEmbedder, TunableEmbedder,
-    Word2Vec,
-};
+use std::path::Path;
+use tabmeta_embed::{CharGram, IntegrityFault, TermEmbedder, TunableEmbedder, Word2Vec};
 use tabmeta_linalg::AngleRange;
 use tabmeta_obs::names;
 use tabmeta_tabular::Table;
 use tabmeta_text::Tokenizer;
+use train::TableSource;
+
+pub(crate) mod train;
 
 /// Either embedding model behind one type (object-safety without dyn in
 /// the hot path).
@@ -93,19 +92,26 @@ impl AnyEmbedder {
     }
 }
 
-/// Training failure modes.
+/// Why training failed. Injected disk faults surface as quarantine
+/// counters, *not* here — this enum is for conditions that leave nothing
+/// trainable, failed checkpoint IO, or a stop the caller asked for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrainError {
-    /// No tables were provided.
+    /// The corpus directory could not be listed.
+    Io {
+        /// Underlying error text.
+        detail: String,
+    },
+    /// No table to train on: an empty slice, or a directory in which no
+    /// record survived ingestion.
     EmptyCorpus,
     /// The corpus produced no usable centroid evidence along either axis.
     NoCentroidEvidence,
-    /// The checkpoint hook stopped training after `at_epoch` global
-    /// epochs (SGNS epochs first, fine-tune epochs after) — the
-    /// crash-injection path.
+    /// The boundary hook stopped training at `at` — the kill switch of
+    /// the crash-recovery and shard-chaos drills.
     Interrupted {
-        /// Global epochs fully completed (and checkpointed) before the stop.
-        at_epoch: u64,
+        /// The boundary at which the hook broke.
+        at: StreamBoundary,
     },
     /// A training checkpoint could not be written or restored.
     Checkpoint(ArtifactError),
@@ -114,25 +120,18 @@ pub enum TrainError {
 impl std::fmt::Display for TrainError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            TrainError::Io { detail } => write!(f, "corpus IO: {detail}"),
             TrainError::EmptyCorpus => write!(f, "cannot train a pipeline on an empty corpus"),
             TrainError::NoCentroidEvidence => {
                 write!(f, "corpus yielded no usable centroid evidence on either axis")
             }
-            TrainError::Interrupted { at_epoch } => {
-                write!(f, "training interrupted after {at_epoch} completed epoch(s)")
-            }
+            TrainError::Interrupted { at } => write!(f, "training interrupted at {at}"),
             TrainError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
     }
 }
 
 impl std::error::Error for TrainError {}
-
-/// Post-checkpoint observer for [`Pipeline::train_with_checkpoints`]:
-/// called with the global epoch index after each epoch's checkpoint is
-/// durable; returning [`ControlFlow::Break`] aborts training there (the
-/// crash-injection harness uses this as its kill switch).
-pub type TrainHook<'h> = &'h mut dyn FnMut(u64) -> ControlFlow<()>;
 
 /// What training did, for logs and EXPERIMENTS.md.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
@@ -257,242 +256,32 @@ impl<'de> serde::Deserialize<'de> for Pipeline {
 }
 
 impl Pipeline {
-    /// Assemble a pipeline from already-trained parts (the streaming
-    /// trainer's exit point); starts with a cold scratch pool.
-    pub(crate) fn assemble(
-        embedder: AnyEmbedder,
-        tokenizer: Tokenizer,
-        classifier: Classifier,
-        summary: TrainSummary,
-    ) -> Self {
-        Self { embedder, tokenizer, classifier, summary, scratch_pool: ScratchPool::new() }
-    }
-
     /// Train the full pipeline on a corpus (unsupervised: only markup or
     /// positional weak labels are consumed, never ground truth).
     pub fn train(tables: &[Table], config: &PipelineConfig) -> Result<Self, TrainError> {
-        Self::train_with_checkpoints(tables, config, None, None, None)
+        Ok(Self::train_with_checkpoints(tables, config, None, None)?.0)
     }
 
-    /// [`Pipeline::train`] with crash-safe checkpointing.
+    /// [`Pipeline::train`] with crash-safe checkpointing and a boundary
+    /// hook — the resident twin of [`crate::stream::train_streaming`],
+    /// run by the same driver with the slice as its one IO shard.
     ///
-    /// With a `store`, the embedder weights and stage loop state are
-    /// durably checkpointed after every completed epoch (SGNS epochs on
-    /// the sequential path, the stage boundary under Hogwild, every
-    /// fine-tune epoch). `resume` restarts from a checkpoint previously
-    /// returned by [`CheckpointStore::latest_valid`]: everything pure
-    /// (sentences, vocabulary, weak labels, centroids) is recomputed, so
-    /// at `threads = 1` the resumed run is **bit-identical** to an
-    /// uninterrupted run with the same seed. `hook` fires after each
-    /// checkpoint is durable and may abort training
-    /// ([`TrainError::Interrupted`]) — the crash-injection kill switch.
+    /// With a `checkpoint_dir`, the newest valid checkpoint there is
+    /// resumed (the scan report is in [`StreamSummary::scan`]) and one is
+    /// written at every SGNS epoch, fine-tune epoch and folded centroid
+    /// shard. Everything pure (sentences, vocabulary, weak labels) is
+    /// recomputed, so at `threads = 1` a resumed run is **bit-identical**
+    /// to an uninterrupted one with the same seed. `hook` sees every
+    /// [`StreamBoundary`], after its checkpoint is durable, and may stop
+    /// training there ([`TrainError::Interrupted`]).
     pub fn train_with_checkpoints(
         tables: &[Table],
         config: &PipelineConfig,
-        store: Option<&CheckpointStore>,
-        resume: Option<TrainCheckpoint>,
-        mut hook: Option<TrainHook<'_>>,
-    ) -> Result<Self, TrainError> {
-        if tables.is_empty() {
-            return Err(TrainError::EmptyCorpus);
-        }
-        let obs = tabmeta_obs::global();
-        let _train_span = obs.span(names::SPAN_TRAIN);
-        let threads = config.threads.max(1);
-        obs.gauge(names::TRAIN_THREADS).set(threads as f64);
-        let tokenizer = Tokenizer::default();
-
-        let sgns_epochs = match &config.embedding {
-            EmbeddingChoice::Word2Vec(sgns) => sgns.epochs,
-            EmbeddingChoice::CharGram(cfg) => cfg.sgns.epochs,
-        } as u64;
-        let plan = match resume {
-            None => ResumePlan::Embed(None),
-            Some(ck) => {
-                obs.gauge(names::CHECKPOINT_RESUMED_EPOCH)
-                    .set(ck.stage.global_epoch(sgns_epochs) as f64);
-                match ck.stage {
-                    CheckpointStage::Sgns(state) => ResumePlan::Embed(Some((ck.embedder, state))),
-                    CheckpointStage::Finetune { sgns_pairs, resume } => ResumePlan::PastEmbed {
-                        embedder: ck.embedder,
-                        sgns_pairs,
-                        finetune: resume,
-                    },
-                    CheckpointStage::CentroidShard { .. } => {
-                        return Err(TrainError::Checkpoint(ArtifactError::SchemaInvalid {
-                            detail: "checkpoint holds a streaming centroid-shard stage; \
-                                     resume it with train_streaming, not the in-memory \
-                                     trainer"
-                                .to_string(),
-                        }))
-                    }
-                }
-            }
-        };
-        let wants_sink = store.is_some() || hook.is_some();
-        // Checkpoint-write failures escape the epoch sinks through this
-        // slot (a sink can only `Break`, not return an error).
-        let mut ckpt_err: Option<ArtifactError> = None;
-        let mut halted_at: u64 = 0;
-
-        let embed_span = obs.span(names::SPAN_EMBED);
-        let sentences = sentences_from_tables_par(tables, &tokenizer, &config.sentences, threads);
-        let n_sentences = sentences.len();
-        // The `threads` knob propagates into SGNS so one pipeline setting
-        // governs the whole training path.
-        let (mut embedder, sgns_pairs, ft_resume) = match plan {
-            ResumePlan::PastEmbed { embedder, sgns_pairs, finetune } => {
-                (embedder, sgns_pairs, Some(finetune))
-            }
-            ResumePlan::Embed(prior) => {
-                let (embedder, pairs, interrupted) = match &config.embedding {
-                    EmbeddingChoice::Word2Vec(sgns) => {
-                        let mut sgns = sgns.clone();
-                        sgns.threads = threads;
-                        let prior = match prior {
-                            None => None,
-                            Some((AnyEmbedder::Word2Vec(m), st)) => Some((m, st)),
-                            Some((AnyEmbedder::CharGram(_), _)) => {
-                                return Err(TrainError::Checkpoint(ArtifactError::SchemaInvalid {
-                                    detail: "checkpoint holds a CharGram embedder but the config \
-                                             trains Word2Vec"
-                                        .to_string(),
-                                }))
-                            }
-                        };
-                        let mut sink = |m: &Word2Vec, st: &SgnsResume| {
-                            sgns_boundary(
-                                store,
-                                &mut hook,
-                                &mut ckpt_err,
-                                &mut halted_at,
-                                || AnyEmbedder::Word2Vec(m.clone()),
-                                st,
-                                n_sentences,
-                            )
-                        };
-                        let (model, report, interrupted) = Word2Vec::train_resumable(
-                            &sentences,
-                            sgns,
-                            prior,
-                            wants_sink.then_some(&mut sink),
-                        );
-                        (AnyEmbedder::Word2Vec(model), report.pairs, interrupted)
-                    }
-                    EmbeddingChoice::CharGram(cfg) => {
-                        let mut cfg = cfg.clone();
-                        cfg.sgns.threads = threads;
-                        let prior = match prior {
-                            None => None,
-                            Some((AnyEmbedder::CharGram(m), st)) => Some((m, st)),
-                            Some((AnyEmbedder::Word2Vec(_), _)) => {
-                                return Err(TrainError::Checkpoint(ArtifactError::SchemaInvalid {
-                                    detail: "checkpoint holds a Word2Vec embedder but the config \
-                                             trains CharGram"
-                                        .to_string(),
-                                }))
-                            }
-                        };
-                        let mut sink = |m: &CharGram, st: &SgnsResume| {
-                            sgns_boundary(
-                                store,
-                                &mut hook,
-                                &mut ckpt_err,
-                                &mut halted_at,
-                                || AnyEmbedder::CharGram(m.clone()),
-                                st,
-                                n_sentences,
-                            )
-                        };
-                        let (model, report, interrupted) = CharGram::train_resumable(
-                            &sentences,
-                            cfg,
-                            prior,
-                            wants_sink.then_some(&mut sink),
-                        );
-                        (AnyEmbedder::CharGram(model), report.pairs, interrupted)
-                    }
-                };
-                if interrupted {
-                    if let Some(e) = ckpt_err.take() {
-                        return Err(TrainError::Checkpoint(e));
-                    }
-                    return Err(TrainError::Interrupted { at_epoch: halted_at });
-                }
-                (embedder, pairs, None)
-            }
-        };
-        drop(embed_span);
-
-        let bootstrap_span = obs.span(names::SPAN_BOOTSTRAP);
-        // `BootstrapLabeler::label` is pure per table; parallel labeling
-        // preserves order, so weak labels are identical at any count.
-        let weak: Vec<WeakLabels> = if threads > 1 {
-            tables.par_iter().map(|t| config.bootstrap.label(t)).collect()
-        } else {
-            tables.iter().map(|t| config.bootstrap.label(t)).collect()
-        };
-        let markup_bootstrapped = weak.iter().filter(|w| w.from_markup).count();
-        obs.counter(names::BOOTSTRAP_TABLES).add(weak.len() as u64);
-        obs.counter(names::BOOTSTRAP_MARKUP_TABLES).add(markup_bootstrapped as u64);
-        drop(bootstrap_span);
-
-        let finetune_report = match config.finetune.as_ref() {
-            None => None,
-            Some(ft) => {
-                let _finetune_span = obs.span(names::SPAN_FINETUNE);
-                let mut sink = |e: &AnyEmbedder, st: &FinetuneResume| {
-                    finetune_boundary(
-                        store,
-                        &mut hook,
-                        &mut ckpt_err,
-                        &mut halted_at,
-                        e,
-                        st,
-                        sgns_pairs,
-                        sgns_epochs,
-                        n_sentences,
-                    )
-                };
-                let (report, interrupted) = finetune::run_resumable(
-                    tables,
-                    &weak,
-                    &mut embedder,
-                    &tokenizer,
-                    ft,
-                    ft_resume,
-                    wants_sink.then_some(&mut sink),
-                );
-                if interrupted {
-                    if let Some(e) = ckpt_err.take() {
-                        return Err(TrainError::Checkpoint(e));
-                    }
-                    return Err(TrainError::Interrupted { at_epoch: halted_at });
-                }
-                Some(report)
-            }
-        };
-
-        let centroid_span = obs.span(names::SPAN_CENTROID);
-        let centroids =
-            centroid::estimate_par(tables, &weak, &embedder, &tokenizer, &config.centroid, threads);
-        drop(centroid_span);
-        if !centroids.rows.is_usable() && !centroids.columns.is_usable() {
-            return Err(TrainError::NoCentroidEvidence);
-        }
-
-        Ok(Self {
-            embedder,
-            tokenizer,
-            classifier: Classifier { centroids, config: config.classifier.clone() },
-            summary: TrainSummary {
-                sentences: n_sentences,
-                sgns_pairs,
-                finetune: finetune_report,
-                markup_bootstrapped,
-            },
-            scratch_pool: ScratchPool::new(),
-        })
+        checkpoint_dir: Option<&Path>,
+        hook: Option<StreamHook<'_>>,
+    ) -> Result<(Self, StreamSummary), TrainError> {
+        let shard_tables = tables.len().div_ceil(config.threads.max(1));
+        train::run(TableSource::Resident(tables), config, shard_tables, checkpoint_dir, hook)
     }
 
     /// Classify one table.
@@ -654,78 +443,6 @@ impl Pipeline {
             validate_axis(axis, ax, dim)?;
         }
         Ok(())
-    }
-}
-
-/// Where training resumes from, decoded from an optional checkpoint.
-enum ResumePlan {
-    /// Run the embedding stage — from scratch (`None`) or from a
-    /// mid-stage SGNS checkpoint.
-    Embed(Option<(AnyEmbedder, SgnsResume)>),
-    /// The embedding stage already completed; go straight to fine-tuning.
-    PastEmbed { embedder: AnyEmbedder, sgns_pairs: u64, finetune: FinetuneResume },
-}
-
-/// SGNS epoch boundary: persist a checkpoint (when a store is attached),
-/// then give the hook its chance to abort.
-fn sgns_boundary(
-    store: Option<&CheckpointStore>,
-    hook: &mut Option<TrainHook<'_>>,
-    ckpt_err: &mut Option<ArtifactError>,
-    halted_at: &mut u64,
-    make_embedder: impl FnOnce() -> AnyEmbedder,
-    state: &SgnsResume,
-    sentences: usize,
-) -> ControlFlow<()> {
-    let epoch = state.epochs_done as u64;
-    *halted_at = epoch;
-    if let Some(store) = store {
-        let checkpoint = TrainCheckpoint {
-            stage: CheckpointStage::Sgns(state.clone()),
-            embedder: make_embedder(),
-            sentences,
-        };
-        if let Err(e) = store.write(&checkpoint) {
-            *ckpt_err = Some(e);
-            return ControlFlow::Break(());
-        }
-    }
-    match hook.as_mut() {
-        Some(h) => h(epoch),
-        None => ControlFlow::Continue(()),
-    }
-}
-
-/// Fine-tune epoch boundary; global epoch indices continue after the SGNS
-/// stage's.
-#[allow(clippy::too_many_arguments)]
-fn finetune_boundary(
-    store: Option<&CheckpointStore>,
-    hook: &mut Option<TrainHook<'_>>,
-    ckpt_err: &mut Option<ArtifactError>,
-    halted_at: &mut u64,
-    embedder: &AnyEmbedder,
-    state: &FinetuneResume,
-    sgns_pairs: u64,
-    sgns_epochs: u64,
-    sentences: usize,
-) -> ControlFlow<()> {
-    let epoch = sgns_epochs + state.epochs_done as u64;
-    *halted_at = epoch;
-    if let Some(store) = store {
-        let checkpoint = TrainCheckpoint {
-            stage: CheckpointStage::Finetune { sgns_pairs, resume: state.clone() },
-            embedder: embedder.clone(),
-            sentences,
-        };
-        if let Err(e) = store.write(&checkpoint) {
-            *ckpt_err = Some(e);
-            return ControlFlow::Break(());
-        }
-    }
-    match hook.as_mut() {
-        Some(h) => h(epoch),
-        None => ControlFlow::Continue(()),
     }
 }
 
@@ -915,6 +632,45 @@ mod tests {
             assert_eq!(pipeline.classify(t), restored.classify(t));
         }
         assert_eq!(restored.summary().sentences, pipeline.summary().sentences);
+    }
+
+    #[test]
+    fn centroid_resume_skips_exactly_the_folded_tables() {
+        // Killed after the first of four per-thread centroid shards, then
+        // resumed at one thread (one 40-table shard): the resume must
+        // skip the 10 folded tables, not one resumed-size shard of 40.
+        let corpus = CorpusKind::Ckg.generate(&GeneratorConfig { n_tables: 40, seed: 71 });
+        let config = PipelineConfig::fast_seeded(71).without_finetune();
+        let dir =
+            std::env::temp_dir().join(format!("tabmeta-resume-tables-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut kill = |at: StreamBoundary| {
+            if at == StreamBoundary::CentroidShard(1) {
+                std::ops::ControlFlow::Break(())
+            } else {
+                std::ops::ControlFlow::Continue(())
+            }
+        };
+        let parallel = config.clone().with_threads(4);
+        let err = Pipeline::train_with_checkpoints(
+            &corpus.tables,
+            &parallel,
+            Some(&dir),
+            Some(&mut kill),
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert_eq!(err, TrainError::Interrupted { at: StreamBoundary::CentroidShard(1) });
+        let (resumed, summary) =
+            Pipeline::train_with_checkpoints(&corpus.tables, &config, Some(&dir), None).unwrap();
+        assert_eq!(summary.resumed_from(), Some("ckpt-2-00001.tma"));
+        let full = Pipeline::train(&corpus.tables, &config).unwrap();
+        assert_eq!(
+            resumed.summary().markup_bootstrapped,
+            full.summary().markup_bootstrapped,
+            "every table is labeled and folded exactly once"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,57 +1,39 @@
-//! Out-of-core sharded training: the corpus never resides in memory.
+//! Out-of-core training: the corpus never resides in memory.
 //!
 //! §IV-B of the paper trains on corpora from ~1K to 100M tables; an
 //! in-memory `Vec<Table>` stops scaling long before the top of that
-//! range. [`train_streaming`] instead drives a
-//! [`ShardReader`](tabmeta_tabular::stream::ShardReader) over a corpus
-//! *directory* in three bounded passes:
+//! range. [`train_streaming`] trains from a corpus *directory* read by a
+//! [`ShardReader`] in bounded IO shards, through the same stage driver
+//! as [`Pipeline::train`] (see `pipeline/train.rs` and DESIGN.md): every
+//! embedder, fine-tuning, and kill-anywhere resume work the same way on
+//! both sources. This module holds what only a directory needs — the IO
+//! shard options, the memory-budget governor and its [`SpillEvent`]s —
+//! and the run summary and kill points ([`StreamBoundary`]) both
+//! sources report.
 //!
-//! * **Pass A (vocabulary)** folds every accepted table into the run
-//!   fingerprint ([`StreamFingerprint`]) and the SGNS vocabulary, and
-//!   counts training sentences. This pass is also the quarantine
-//!   authority: its [`QuarantineReport`] is the one published to
-//!   metrics, and conservation (`accepted + quarantined == total`)
-//!   holds exactly even under injected disk faults.
-//! * **Pass B (SGNS)** re-streams the corpus, encodes each sentence to
-//!   compact `u32` ids against the frozen vocabulary (the memory win:
-//!   ids, not strings, are what accumulates), and trains SGNS through
-//!   the same resumable trainer as the in-memory path — the embedder is
-//!   **bit-identical** to [`Pipeline::train`] on the same corpus/seed.
-//! * **Pass C (centroids)** streams once more, bootstrapping weak
-//!   labels table-by-table and folding fixed-size *logical* shards of
-//!   accepted tables into centroid accumulators via the same map-reduce
-//!   fold as [`centroid::estimate_par`]. After every fold a
-//!   [`CheckpointStage::CentroidShard`] checkpoint is written, so a
-//!   kill at any shard boundary resumes byte-identical to an
-//!   uninterrupted run with the same seed (at `threads = 1`).
-//!
-//! Logical centroid shards are counted in *accepted tables*, not IO
-//! shards: the memory-budget governor ([`SpillEvent`]) may shrink IO
-//! shards mid-run, and results must not depend on where IO boundaries
-//! fall. Disk-fault injection (see `resilience::disk`) keys decisions
-//! on file *names*, so every pass — and every resumed run — sees an
-//! identical record stream, which is what makes multi-pass streaming
-//! and resume-determinism compatible with fault injection.
+//! IO shard size and budget spills never change the model: no stage
+//! depends on where IO boundaries fall. The logical centroid shard size
+//! does (each logical shard samples on its own RNG stream), which is why
+//! [`StreamFingerprint`](crate::persist::StreamFingerprint) folds
+//! `centroid_shard_tables` in. Disk-fault injection (see
+//! `resilience::disk`) keys decisions on file *names*, so every pass —
+//! and every resumed run — sees an identical record stream, which is
+//! what makes multi-pass streaming and resume-determinism compatible
+//! with fault injection.
 
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use tabmeta_embed::{sentences_from_tables_par, SgnsResume, TermEmbedder, VocabBuilder, Word2Vec};
 use tabmeta_obs::names;
 use tabmeta_tabular::stream::{DiskIo, ShardReader, StreamOptions};
 use tabmeta_tabular::QuarantineReport;
-use tabmeta_text::Tokenizer;
 
-use crate::centroid::{self, AxisAccumulator, CentroidModel, CentroidOptions, CentroidShardResume};
-use crate::checkpoint::{CheckpointScanReport, CheckpointStage, CheckpointStore, TrainCheckpoint};
-use crate::classifier::Classifier;
-use crate::config::{EmbeddingChoice, PipelineConfig};
-use crate::persist::{ArtifactError, StreamFingerprint};
-use crate::pipeline::{AnyEmbedder, Pipeline, TrainSummary};
+use crate::checkpoint::CheckpointScanReport;
+use crate::config::PipelineConfig;
+use crate::pipeline::train::{self, TableSource};
+use crate::pipeline::{Pipeline, TrainError, TrainSummary};
 
 /// Knobs for [`train_streaming`].
 #[derive(Debug, Clone)]
@@ -68,8 +50,9 @@ pub struct StreamTrainOptions {
     /// Where quarantined raw records are spilled, per shard.
     pub quarantine_dir: Option<PathBuf>,
     /// Accepted tables per *logical* centroid shard — the fold and
-    /// checkpoint granularity of pass C. Independent of `shard_rows`
-    /// so budget spills never move centroid fold boundaries.
+    /// checkpoint granularity of the centroid pass. Independent of
+    /// `shard_rows` so budget spills never move centroid fold
+    /// boundaries; unlike them, it changes the model.
     pub centroid_shard_tables: usize,
 }
 
@@ -89,7 +72,7 @@ impl Default for StreamTrainOptions {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpillEvent {
     /// Which pass observed the overage (`"vocab"`, `"encode"`,
-    /// `"centroid"`).
+    /// `"finetune"`, `"centroid"`).
     pub pass: String,
     /// IO shard index (within its pass) at the observation.
     pub shard: usize,
@@ -101,19 +84,20 @@ pub struct SpillEvent {
     pub new_shard_rows: usize,
 }
 
-/// What a streaming run did, beyond the [`TrainSummary`] itself.
+/// What a training run did, beyond the [`TrainSummary`] itself.
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
-    /// The same summary an in-memory run produces.
+    /// The summary the trained pipeline carries.
     pub train: TrainSummary,
     /// Pass A's ingestion report (the published one; conservation
-    /// `accepted + quarantined == total` holds exactly).
+    /// `accepted + quarantined == total` holds exactly). A resident
+    /// corpus accepts every table.
     pub report: QuarantineReport,
     /// The run fingerprint checkpoints were validated against.
     pub fingerprint: u64,
-    /// IO shards streamed during pass A.
+    /// IO shards streamed during pass A (one for a resident corpus).
     pub io_shards: usize,
-    /// Logical centroid shards folded during pass C.
+    /// Logical centroid shards folded.
     pub centroid_shards: usize,
     /// Memory-budget spills, in order.
     pub spills: Vec<SpillEvent>,
@@ -128,8 +112,8 @@ impl StreamSummary {
     }
 }
 
-/// A kill point: streaming training checkpoints (where applicable) and
-/// consults the hook at each of these boundaries.
+/// A kill point: training checkpoints (where applicable) and consults
+/// the hook at each of these boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamBoundary {
     /// Pass A finished folding IO shard `n` into the vocabulary.
@@ -139,8 +123,27 @@ pub enum StreamBoundary {
     EncodeShard(usize),
     /// SGNS epoch `n` completed and its checkpoint is durable.
     SgnsEpoch(u64),
+    /// Fine-tune epoch `n` completed and its checkpoint is durable.
+    FinetuneEpoch(usize),
     /// Logical centroid shard `n` folded and its checkpoint is durable.
     CentroidShard(usize),
+}
+
+impl StreamBoundary {
+    /// Global epoch index of a checkpointed boundary under `config`:
+    /// SGNS epochs count from 1, fine-tune epochs continue after them,
+    /// and centroid shards after both. `None` for the pre-checkpoint
+    /// shard boundaries of passes A and B.
+    pub fn global_epoch(self, config: &PipelineConfig) -> Option<u64> {
+        let sgns = config.embedding.sgns().epochs as u64;
+        let finetune = config.finetune.as_ref().map_or(0, |ft| ft.epochs as u64);
+        match self {
+            StreamBoundary::VocabShard(_) | StreamBoundary::EncodeShard(_) => None,
+            StreamBoundary::SgnsEpoch(n) => Some(n),
+            StreamBoundary::FinetuneEpoch(n) => Some(sgns + n as u64),
+            StreamBoundary::CentroidShard(n) => Some(sgns + finetune + n as u64),
+        }
+    }
 }
 
 impl std::fmt::Display for StreamBoundary {
@@ -149,70 +152,16 @@ impl std::fmt::Display for StreamBoundary {
             StreamBoundary::VocabShard(n) => write!(f, "vocab shard {n}"),
             StreamBoundary::EncodeShard(n) => write!(f, "encode shard {n}"),
             StreamBoundary::SgnsEpoch(n) => write!(f, "sgns epoch {n}"),
+            StreamBoundary::FinetuneEpoch(n) => write!(f, "fine-tune epoch {n}"),
             StreamBoundary::CentroidShard(n) => write!(f, "centroid shard {n}"),
         }
     }
 }
 
-/// Boundary observer for [`train_streaming`]; returning
-/// [`ControlFlow::Break`] aborts the run there
-/// ([`StreamTrainError::Interrupted`]) — the shard-chaos kill switch.
+/// Boundary observer for training; returning [`ControlFlow::Break`]
+/// stops the run there ([`TrainError::Interrupted`]) — the kill switch
+/// of the crash-recovery and shard-chaos drills.
 pub type StreamHook<'h> = &'h mut dyn FnMut(StreamBoundary) -> ControlFlow<()>;
-
-/// Why streaming training failed. Every injected disk fault surfaces as
-/// quarantine counters, *not* here — this enum is for conditions that
-/// leave nothing trainable or that the caller asked for (interruption).
-#[derive(Debug, PartialEq)]
-pub enum StreamTrainError {
-    /// The corpus directory could not be listed.
-    Io {
-        /// Underlying error text.
-        detail: String,
-    },
-    /// No record in the directory survived ingestion.
-    EmptyCorpus,
-    /// Corpus yielded no usable centroid evidence on either axis.
-    NoCentroidEvidence,
-    /// Streaming supports only the Word2Vec embedder (char-gram
-    /// fallback needs the whole corpus resident for its term table).
-    UnsupportedEmbedder,
-    /// Streaming does not run the fine-tune stage; strip it with
-    /// [`PipelineConfig::without_finetune`].
-    UnsupportedFinetune,
-    /// The hook stopped the run at `at`.
-    Interrupted {
-        /// The boundary at which the hook broke.
-        at: StreamBoundary,
-    },
-    /// A training checkpoint could not be written or restored.
-    Checkpoint(ArtifactError),
-}
-
-impl std::fmt::Display for StreamTrainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamTrainError::Io { detail } => write!(f, "streaming corpus IO: {detail}"),
-            StreamTrainError::EmptyCorpus => {
-                write!(f, "no record in the corpus directory survived ingestion")
-            }
-            StreamTrainError::NoCentroidEvidence => {
-                write!(f, "corpus yielded no usable centroid evidence on either axis")
-            }
-            StreamTrainError::UnsupportedEmbedder => {
-                write!(f, "streaming training supports only the Word2Vec embedder")
-            }
-            StreamTrainError::UnsupportedFinetune => {
-                write!(f, "streaming training does not run the fine-tune stage")
-            }
-            StreamTrainError::Interrupted { at } => {
-                write!(f, "streaming training interrupted at {at}")
-            }
-            StreamTrainError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamTrainError {}
 
 /// Floor for budget-driven shard shrinking: a shard always carries at
 /// least this many rows (and always at least one table), so the
@@ -222,10 +171,10 @@ const SPILL_FLOOR_ROWS: usize = 64;
 /// The memory-budget governor: consulted at IO shard boundaries, where
 /// halving the effective shard size is safe because no result depends
 /// on where IO boundaries fall.
-struct StreamBudget {
+pub(crate) struct StreamBudget {
     budget: Option<u64>,
     rows: usize,
-    spills: Vec<SpillEvent>,
+    pub(crate) spills: Vec<SpillEvent>,
 }
 
 impl StreamBudget {
@@ -239,11 +188,11 @@ impl StreamBudget {
         Self { budget, rows, spills: Vec::new() }
     }
 
-    fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
-    fn observe_boundary(&mut self, pass: &'static str, shard: usize) {
+    pub(crate) fn observe_boundary(&mut self, pass: &'static str, shard: usize) {
         let Some(limit) = self.budget else { return };
         if !tabmeta_obs::mem::is_tracking() {
             return;
@@ -266,48 +215,16 @@ impl StreamBudget {
     }
 }
 
-fn fire(hook: &mut Option<StreamHook<'_>>, at: StreamBoundary) -> ControlFlow<()> {
-    match hook.as_mut() {
-        Some(h) => h(at),
-        None => ControlFlow::Continue(()),
-    }
-}
-
-/// Fold one completed logical shard into the running pair, matching
-/// [`centroid::estimate_par`]: the first shard *becomes* the fold (no
-/// merge), later shards merge with the base RNG.
-fn fold_shard(
-    folded: &mut Option<(AxisAccumulator, AxisAccumulator)>,
-    rows: AxisAccumulator,
-    cols: AxisAccumulator,
-    options: &CentroidOptions,
-    rng: &mut StdRng,
-) {
-    match folded {
-        None => *folded = Some((rows, cols)),
-        Some((fr, fc)) => {
-            fr.merge(rows, options, rng);
-            fc.merge(cols, options, rng);
-        }
-    }
-}
-
-/// How a checkpoint scan maps onto the three passes.
-enum ResumePlan {
-    Fresh,
-    Sgns(Word2Vec, SgnsResume),
-    Centroid { embedder: AnyEmbedder, sgns_pairs: u64, resume: Box<CentroidShardResume> },
-}
-
 /// Train a pipeline by streaming a corpus directory in bounded shards.
 ///
 /// `dir` holds the corpus as `*.jsonl` / `*.csv` files (the same layout
 /// the batch readers ingest). `disk` is the IO seam — production passes
 /// [`RealDisk`](tabmeta_tabular::stream::RealDisk); the chaos harness
 /// passes a fault-injecting wrapper. With a `checkpoint_dir`, SGNS
-/// epochs and centroid logical shards are durably checkpointed, and an
-/// interrupted run resumes from the newest valid checkpoint —
-/// byte-identical to an uninterrupted same-seed run at `threads = 1`.
+/// epochs, fine-tune epochs and logical centroid shards are durably
+/// checkpointed, and an interrupted run resumes from the newest valid
+/// checkpoint — byte-identical to an uninterrupted same-seed run at
+/// `threads = 1`.
 ///
 /// The returned [`StreamSummary`] carries the published quarantine
 /// report; `accepted + quarantined == total` holds exactly for every
@@ -318,329 +235,23 @@ pub fn train_streaming(
     options: &StreamTrainOptions,
     disk: Arc<dyn DiskIo>,
     checkpoint_dir: Option<&Path>,
-    mut hook: Option<StreamHook<'_>>,
-) -> Result<(Pipeline, StreamSummary), StreamTrainError> {
-    let sgns = match &config.embedding {
-        EmbeddingChoice::Word2Vec(s) => s.clone(),
-        EmbeddingChoice::CharGram(_) => return Err(StreamTrainError::UnsupportedEmbedder),
+    hook: Option<StreamHook<'_>>,
+) -> Result<(Pipeline, StreamSummary), TrainError> {
+    let stream_options = StreamOptions {
+        shard_rows: options.shard_rows,
+        quarantine_dir: options.quarantine_dir.clone(),
     };
-    if config.finetune.is_some() {
-        return Err(StreamTrainError::UnsupportedFinetune);
-    }
-    let obs = tabmeta_obs::global();
-    let _stream_span = obs.span(names::SPAN_STREAM_TRAIN);
-    let threads = config.threads.max(1);
-    obs.gauge(names::TRAIN_THREADS).set(threads as f64);
-    let tokenizer = Tokenizer::default();
-    let shard_tables = options.centroid_shard_tables.max(1);
-    let mut budget = StreamBudget::new(options.shard_rows, options.mem_budget);
-
-    let reader = ShardReader::open(
-        dir,
-        StreamOptions {
-            shard_rows: options.shard_rows,
-            quarantine_dir: options.quarantine_dir.clone(),
-        },
-        disk,
-    )
-    .map_err(|e| StreamTrainError::Io { detail: format!("open corpus dir: {e}") })?;
-
-    // ---- Pass A: fingerprint + vocabulary + sentence count. Always
-    // runs in full — the fingerprint must exist before the checkpoint
-    // store can open, so even a centroid-stage resume pays this pass.
-    let embed_span = obs.span(names::SPAN_EMBED);
-    let mut builder = VocabBuilder::new();
-    let mut fp = StreamFingerprint::new(config, shard_tables);
-    let mut n_sentences = 0usize;
-    let mut io_shards = 0usize;
-    let mut cursor = reader.pass();
-    let mut interrupted_at: Option<StreamBoundary> = None;
-    while let Some(shard) = cursor.next_shard(budget.rows()) {
-        io_shards += 1;
-        for table in &shard.tables {
-            fp.fold_table(table);
-        }
-        let sentences =
-            sentences_from_tables_par(&shard.tables, &tokenizer, &config.sentences, threads);
-        n_sentences += sentences.len();
-        for s in &sentences {
-            builder.observe(s);
-        }
-        budget.observe_boundary("vocab", shard.index);
-        let at = StreamBoundary::VocabShard(shard.index);
-        if fire(&mut hook, at).is_break() {
-            interrupted_at = Some(at);
-            break;
-        }
-    }
-    let report = cursor.finish();
-    drop(embed_span);
-    if let Some(at) = interrupted_at {
-        return Err(StreamTrainError::Interrupted { at });
-    }
-    report.publish_metrics();
-    if report.accepted == 0 {
-        return Err(StreamTrainError::EmptyCorpus);
-    }
-
-    // ---- Checkpoint scan: the store validates against the streaming
-    // fingerprint, so checkpoints from a different corpus, config, or
-    // the in-memory trainer are quarantined rather than resumed.
-    let fingerprint = fp.finish();
-    let store = match checkpoint_dir {
-        Some(ckpt_dir) => Some(
-            CheckpointStore::open(ckpt_dir, fingerprint).map_err(StreamTrainError::Checkpoint)?,
-        ),
-        None => None,
-    };
-    let (resume_ck, scan) = match store.as_ref() {
-        Some(s) => {
-            let (ck, scan) = s.latest_valid().map_err(StreamTrainError::Checkpoint)?;
-            (ck, Some(scan))
-        }
-        None => (None, None),
-    };
-    let plan = match resume_ck {
-        None => ResumePlan::Fresh,
-        Some(ck) => {
-            obs.gauge(names::CHECKPOINT_RESUMED_EPOCH)
-                .set(ck.stage.global_epoch(sgns.epochs as u64) as f64);
-            match ck.stage {
-                CheckpointStage::Sgns(state) => match ck.embedder {
-                    AnyEmbedder::Word2Vec(m) => ResumePlan::Sgns(m, state),
-                    AnyEmbedder::CharGram(_) => {
-                        return Err(StreamTrainError::Checkpoint(ArtifactError::SchemaInvalid {
-                            detail: "checkpoint holds a CharGram embedder but streaming \
-                                     trains Word2Vec"
-                                .to_string(),
-                        }))
-                    }
-                },
-                CheckpointStage::CentroidShard { sgns_pairs, resume } => {
-                    ResumePlan::Centroid { embedder: ck.embedder, sgns_pairs, resume }
-                }
-                CheckpointStage::Finetune { .. } => {
-                    return Err(StreamTrainError::Checkpoint(ArtifactError::SchemaInvalid {
-                        detail: "checkpoint holds a fine-tune stage, which streaming \
-                                 training never writes"
-                            .to_string(),
-                    }))
-                }
-            }
-        }
-    };
-
-    // ---- Pass B: encode + SGNS (skipped entirely on a centroid-stage
-    // resume — the checkpointed embedder is already final).
-    let (embedder, sgns_pairs, centroid_resume) = match plan {
-        ResumePlan::Centroid { embedder, sgns_pairs, resume } => {
-            (embedder, sgns_pairs, Some(resume))
-        }
-        other => {
-            let prior = match other {
-                ResumePlan::Sgns(m, st) => Some((m, st)),
-                _ => None,
-            };
-            let (vocab, encoder) = builder.finish(sgns.min_count);
-            let mut encoded: Vec<Vec<u32>> = Vec::new();
-            let mut cursor = reader.pass();
-            let mut interrupted_at: Option<StreamBoundary> = None;
-            while let Some(shard) = cursor.next_shard(budget.rows()) {
-                let sentences = sentences_from_tables_par(
-                    &shard.tables,
-                    &tokenizer,
-                    &config.sentences,
-                    threads,
-                );
-                encoded.extend(sentences.iter().filter_map(|s| encoder.encode(s)));
-                budget.observe_boundary("encode", shard.index);
-                let at = StreamBoundary::EncodeShard(shard.index);
-                if fire(&mut hook, at).is_break() {
-                    interrupted_at = Some(at);
-                    break;
-                }
-            }
-            let _ = cursor.finish();
-            if let Some(at) = interrupted_at {
-                return Err(StreamTrainError::Interrupted { at });
-            }
-
-            let mut sgns_config = sgns.clone();
-            sgns_config.threads = threads;
-            let wants_sink = store.is_some() || hook.is_some();
-            let mut ckpt_err: Option<ArtifactError> = None;
-            let mut halted_at: u64 = 0;
-            let mut sink = |m: &Word2Vec, st: &SgnsResume| -> ControlFlow<()> {
-                halted_at = st.epochs_done as u64;
-                if let Some(store) = store.as_ref() {
-                    let checkpoint = TrainCheckpoint {
-                        stage: CheckpointStage::Sgns(st.clone()),
-                        embedder: AnyEmbedder::Word2Vec(m.clone()),
-                        sentences: n_sentences,
-                    };
-                    if let Err(e) = store.write(&checkpoint) {
-                        ckpt_err = Some(e);
-                        return ControlFlow::Break(());
-                    }
-                }
-                fire(&mut hook, StreamBoundary::SgnsEpoch(st.epochs_done as u64))
-            };
-            let (model, train_report, interrupted) = Word2Vec::train_encoded_resumable(
-                vocab,
-                &encoded,
-                sgns_config,
-                prior,
-                wants_sink.then_some(&mut sink),
-            );
-            if interrupted {
-                if let Some(e) = ckpt_err {
-                    return Err(StreamTrainError::Checkpoint(e));
-                }
-                return Err(StreamTrainError::Interrupted {
-                    at: StreamBoundary::SgnsEpoch(halted_at),
-                });
-            }
-            (AnyEmbedder::Word2Vec(model), train_report.pairs, None)
-        }
-    };
-
-    // ---- Pass C: weak labels + map-reduce centroids over logical
-    // shards, checkpoint per fold. Resume skips exactly the accepted
-    // tables already folded and restores the base RNG, so the fold
-    // sequence is identical to an uninterrupted run.
-    let centroid_span = obs.span(names::SPAN_CENTROID);
-    let copts = &config.centroid;
-    let dim = embedder.dim();
-    let (mut folded, mut base_rng, mut shards_done, mut markup) = match centroid_resume {
-        Some(r) => {
-            let r = *r;
-            (
-                Some((r.rows, r.cols)),
-                StdRng::from_state(r.rng),
-                r.shards_done,
-                r.markup_bootstrapped,
-            )
-        }
-        None => (None, StdRng::seed_from_u64(copts.seed), 0usize, 0usize),
-    };
-    let mut skip = shards_done * shard_tables;
-    let mut cur_rows = AxisAccumulator::new(dim);
-    let mut cur_cols = AxisAccumulator::new(dim);
-    let mut in_shard = 0usize;
-    let mut shard_rng = StdRng::seed_from_u64(copts.seed ^ (shards_done as u64 + 1));
-    let mut interrupted_at: Option<StreamBoundary> = None;
-    let mut ckpt_err: Option<ArtifactError> = None;
-    let mut cursor = reader.pass();
-    'stream: while let Some(shard) = cursor.next_shard(budget.rows()) {
-        for table in &shard.tables {
-            if skip > 0 {
-                skip -= 1;
-                continue;
-            }
-            let labels = config.bootstrap.label(table);
-            obs.counter(names::BOOTSTRAP_TABLES).inc();
-            if labels.from_markup {
-                markup += 1;
-                obs.counter(names::BOOTSTRAP_MARKUP_TABLES).inc();
-            }
-            centroid::observe_table_pair(
-                &mut cur_rows,
-                &mut cur_cols,
-                table,
-                &labels,
-                &embedder,
-                &tokenizer,
-                copts,
-                &mut shard_rng,
-            );
-            in_shard += 1;
-            if in_shard == shard_tables {
-                let rows = std::mem::replace(&mut cur_rows, AxisAccumulator::new(dim));
-                let cols = std::mem::replace(&mut cur_cols, AxisAccumulator::new(dim));
-                fold_shard(&mut folded, rows, cols, copts, &mut base_rng);
-                shards_done += 1;
-                in_shard = 0;
-                shard_rng = StdRng::seed_from_u64(copts.seed ^ (shards_done as u64 + 1));
-                let at = StreamBoundary::CentroidShard(shards_done);
-                if let (Some(store), Some((fr, fc))) = (store.as_ref(), folded.as_ref()) {
-                    let checkpoint = TrainCheckpoint {
-                        stage: CheckpointStage::CentroidShard {
-                            sgns_pairs,
-                            resume: Box::new(CentroidShardResume {
-                                shards_done,
-                                markup_bootstrapped: markup,
-                                rng: base_rng.state(),
-                                rows: fr.clone(),
-                                cols: fc.clone(),
-                            }),
-                        },
-                        embedder: embedder.clone(),
-                        sentences: n_sentences,
-                    };
-                    if let Err(e) = store.write(&checkpoint) {
-                        ckpt_err = Some(e);
-                        break 'stream;
-                    }
-                }
-                if fire(&mut hook, at).is_break() {
-                    interrupted_at = Some(at);
-                    break 'stream;
-                }
-            }
-        }
-        budget.observe_boundary("centroid", shard.index);
-    }
-    let _ = cursor.finish();
-    if let Some(e) = ckpt_err {
-        return Err(StreamTrainError::Checkpoint(e));
-    }
-    if let Some(at) = interrupted_at {
-        return Err(StreamTrainError::Interrupted { at });
-    }
-    if in_shard > 0 {
-        fold_shard(&mut folded, cur_rows, cur_cols, copts, &mut base_rng);
-        shards_done += 1;
-    }
-    let (rows_acc, cols_acc) = match folded {
-        Some(pair) => pair,
-        None => (AxisAccumulator::new(dim), AxisAccumulator::new(dim)),
-    };
-    let centroids = CentroidModel {
-        rows: rows_acc.finish(copts, &mut base_rng),
-        columns: cols_acc.finish(copts, &mut base_rng),
-    };
-    drop(centroid_span);
-    if !centroids.rows.is_usable() && !centroids.columns.is_usable() {
-        return Err(StreamTrainError::NoCentroidEvidence);
-    }
-
-    let train = TrainSummary {
-        sentences: n_sentences,
-        sgns_pairs,
-        finetune: None,
-        markup_bootstrapped: markup,
-    };
-    let pipeline = Pipeline::assemble(
-        embedder,
-        tokenizer,
-        Classifier { centroids, config: config.classifier.clone() },
-        train.clone(),
-    );
-    let summary = StreamSummary {
-        train,
-        report,
-        fingerprint,
-        io_shards,
-        centroid_shards: shards_done,
-        spills: budget.spills,
-        scan,
-    };
-    Ok((pipeline, summary))
+    let reader = ShardReader::open(dir, stream_options, disk)
+        .map_err(|e| TrainError::Io { detail: format!("open corpus dir: {e}") })?;
+    let budget = StreamBudget::new(options.shard_rows, options.mem_budget);
+    let source = TableSource::Dir { reader, budget };
+    train::run(source, config, options.centroid_shard_tables.max(1), checkpoint_dir, hook)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EmbeddingChoice;
     use std::fs;
     use std::io::Write as _;
     use tabmeta_corpora::{CorpusKind, GeneratorConfig};
@@ -678,25 +289,100 @@ mod tests {
         }
     }
 
+    /// A small fine-tuned config: 2 SGNS epochs, 3 fine-tune epochs.
+    fn tuned(mut config: PipelineConfig) -> PipelineConfig {
+        match &mut config.embedding {
+            EmbeddingChoice::Word2Vec(sgns) => sgns.epochs = 2,
+            EmbeddingChoice::CharGram(cfg) => cfg.sgns.epochs = 2,
+        }
+        if let Some(ft) = &mut config.finetune {
+            ft.epochs = 3;
+        }
+        config
+    }
+
+    /// Train uninterrupted, then for each kill point kill a
+    /// checkpointing run there and resume it: every resumed model must
+    /// be byte-identical, resumed from the named checkpoint if given.
+    fn assert_kills_resume(
+        dir: &Path,
+        config: &PipelineConfig,
+        opts: &StreamTrainOptions,
+        kills: &[(StreamBoundary, Option<&str>)],
+    ) {
+        let (baseline, _) =
+            train_streaming(dir, config, opts, Arc::new(RealDisk), None, None).unwrap();
+        let baseline = baseline.to_json().unwrap();
+        for (i, &(kill_at, resume_file)) in kills.iter().enumerate() {
+            let ckpt = dir.join(format!("ckpt-{i}"));
+            let mut kill = |at: StreamBoundary| -> ControlFlow<()> {
+                if at == kill_at {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
+            let err = train_streaming(
+                dir,
+                config,
+                opts,
+                Arc::new(RealDisk),
+                Some(&ckpt),
+                Some(&mut kill),
+            )
+            .unwrap_err();
+            assert_eq!(err, TrainError::Interrupted { at: kill_at });
+
+            let (resumed, summary) =
+                train_streaming(dir, config, opts, Arc::new(RealDisk), Some(&ckpt), None).unwrap();
+            assert!(summary.resumed_from().is_some(), "kill at {kill_at} must leave a checkpoint");
+            if let Some(file) = resume_file {
+                assert_eq!(summary.resumed_from(), Some(file), "kill at {kill_at}");
+            }
+            assert_eq!(
+                resumed.to_json().unwrap(),
+                baseline,
+                "kill at {kill_at}: resumed pipeline must be byte-identical to the uninterrupted run"
+            );
+        }
+    }
+
     #[test]
     fn streaming_matches_in_memory_embedder_and_agrees_on_verdicts() {
-        let corpus = CorpusKind::Saus.generate(&GeneratorConfig { n_tables: 120, seed: 11 });
+        let corpus = CorpusKind::Saus.generate(&GeneratorConfig { n_tables: 60, seed: 11 });
         let dir = temp_dir("parity");
         write_corpus_dir(&dir, &corpus, 4);
-        let config = PipelineConfig::fast_seeded(7).without_finetune();
+        // One logical centroid shard at one thread: the directory is the
+        // resident slice in IO shards, so the artifacts are the same bytes.
+        let one_shard = StreamTrainOptions { centroid_shard_tables: 60, ..options() };
+        for config in [PipelineConfig::fast_seeded(7), PipelineConfig::fast_chargram(7)] {
+            for config in [tuned(config.clone()), tuned(config).without_finetune()] {
+                let in_memory = Pipeline::train(&corpus.tables, &config).unwrap();
+                let (streamed, summary) =
+                    train_streaming(&dir, &config, &one_shard, Arc::new(RealDisk), None, None)
+                        .unwrap();
+                assert!(summary.report.is_clean());
+                assert_eq!(summary.report.accepted, corpus.tables.len());
+                assert!(summary.io_shards > 1, "the corpus must stream in several IO shards");
+                assert_eq!(
+                    streamed.to_json().unwrap(),
+                    in_memory.to_json().unwrap(),
+                    "one-shard streaming must reproduce the in-memory artifact"
+                );
+            }
+        }
 
+        // Several logical shards sample their own reservoir streams, so
+        // require verdict agreement, not identity.
+        let config = tuned(PipelineConfig::fast_seeded(7));
         let in_memory = Pipeline::train(&corpus.tables, &config).unwrap();
         let (streamed, summary) =
             train_streaming(&dir, &config, &options(), Arc::new(RealDisk), None, None).unwrap();
-
-        assert!(summary.report.is_clean());
-        assert_eq!(summary.report.accepted, corpus.tables.len());
+        assert_eq!(summary.centroid_shards, 2);
         assert_eq!(summary.train.sentences, in_memory.summary().sentences);
-        // SGNS sees the identical sentence stream: bit-identical pairs.
         assert_eq!(summary.train.sgns_pairs, in_memory.summary().sgns_pairs);
+        assert_eq!(summary.train.finetune, in_memory.summary().finetune);
         assert_eq!(summary.train.markup_bootstrapped, in_memory.summary().markup_bootstrapped);
-        // Centroid folds differ (logical shards vs one sequential
-        // stream), so require verdict agreement, not identity.
         let mut agree = 0usize;
         for t in &corpus.tables {
             if streamed.classify(t) == in_memory.classify(t) {
@@ -713,37 +399,9 @@ mod tests {
         let corpus = CorpusKind::Cius.generate(&GeneratorConfig { n_tables: 100, seed: 3 });
         let dir = temp_dir("resume-centroid");
         write_corpus_dir(&dir, &corpus, 3);
-        let ckpt = dir.join("ckpt");
         let config = PipelineConfig::fast_seeded(5).without_finetune();
-        let opts = options();
-
-        let (baseline, _) =
-            train_streaming(&dir, &config, &opts, Arc::new(RealDisk), None, None).unwrap();
-
-        let mut kill = |at: StreamBoundary| -> ControlFlow<()> {
-            if at == StreamBoundary::CentroidShard(1) {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        let err =
-            train_streaming(&dir, &config, &opts, Arc::new(RealDisk), Some(&ckpt), Some(&mut kill))
-                .unwrap_err();
-        assert_eq!(err, StreamTrainError::Interrupted { at: StreamBoundary::CentroidShard(1) });
-
-        let (resumed, summary) =
-            train_streaming(&dir, &config, &opts, Arc::new(RealDisk), Some(&ckpt), None).unwrap();
-        assert_eq!(
-            summary.resumed_from(),
-            Some("ckpt-2-00001.tma"),
-            "must resume from the centroid-shard checkpoint"
-        );
-        assert_eq!(
-            resumed.to_json().unwrap(),
-            baseline.to_json().unwrap(),
-            "resumed pipeline must be byte-identical to the uninterrupted run"
-        );
+        let kill = (StreamBoundary::CentroidShard(1), Some("ckpt-2-00001.tma"));
+        assert_kills_resume(&dir, &config, &options(), &[kill]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -752,29 +410,34 @@ mod tests {
         let corpus = CorpusKind::Saus.generate(&GeneratorConfig { n_tables: 80, seed: 9 });
         let dir = temp_dir("resume-sgns");
         write_corpus_dir(&dir, &corpus, 2);
-        let ckpt = dir.join("ckpt");
         let config = PipelineConfig::fast_seeded(2).without_finetune();
-        let opts = options();
+        assert_kills_resume(&dir, &config, &options(), &[(StreamBoundary::SgnsEpoch(2), None)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
-        let (baseline, _) =
-            train_streaming(&dir, &config, &opts, Arc::new(RealDisk), None, None).unwrap();
+    #[test]
+    fn kill_at_every_finetune_epoch_resumes_byte_identical() {
+        let corpus = CorpusKind::Ckg.generate(&GeneratorConfig { n_tables: 50, seed: 23 });
+        let dir = temp_dir("resume-finetune");
+        write_corpus_dir(&dir, &corpus, 3);
+        let config = tuned(PipelineConfig::fast_seeded(6));
+        let files: Vec<String> = (1..=3).map(|epoch| format!("ckpt-1-{epoch:05}.tma")).collect();
+        let kills: Vec<(StreamBoundary, Option<&str>)> = (1..=3)
+            .map(|epoch| (StreamBoundary::FinetuneEpoch(epoch), Some(files[epoch - 1].as_str())))
+            .collect();
+        assert_kills_resume(&dir, &config, &options(), &kills);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
-        let mut kill = |at: StreamBoundary| -> ControlFlow<()> {
-            if at == StreamBoundary::SgnsEpoch(2) {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        let err =
-            train_streaming(&dir, &config, &opts, Arc::new(RealDisk), Some(&ckpt), Some(&mut kill))
-                .unwrap_err();
-        assert_eq!(err, StreamTrainError::Interrupted { at: StreamBoundary::SgnsEpoch(2) });
-
-        let (resumed, summary) =
-            train_streaming(&dir, &config, &opts, Arc::new(RealDisk), Some(&ckpt), None).unwrap();
-        assert!(summary.resumed_from().is_some());
-        assert_eq!(resumed.to_json().unwrap(), baseline.to_json().unwrap());
+    #[test]
+    fn chargram_kills_resume_byte_identical() {
+        let corpus = CorpusKind::Cord19.generate(&GeneratorConfig { n_tables: 60, seed: 29 });
+        let dir = temp_dir("resume-chargram");
+        write_corpus_dir(&dir, &corpus, 3);
+        let config = tuned(PipelineConfig::fast_chargram(8));
+        let kills =
+            [(StreamBoundary::SgnsEpoch(1), None), (StreamBoundary::CentroidShard(1), None)];
+        assert_kills_resume(&dir, &config, &options(), &kills);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -804,21 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_configs_are_typed_errors() {
-        let dir = temp_dir("unsupported");
-        let corpus = CorpusKind::Saus.generate(&GeneratorConfig { n_tables: 4, seed: 1 });
-        write_corpus_dir(&dir, &corpus, 1);
-        let with_ft = PipelineConfig::fast_seeded(1);
-        assert_eq!(
-            train_streaming(&dir, &with_ft, &options(), Arc::new(RealDisk), None, None)
-                .map(|_| ())
-                .unwrap_err(),
-            StreamTrainError::UnsupportedFinetune
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn empty_directory_is_empty_corpus() {
         let dir = temp_dir("empty");
         assert_eq!(
@@ -832,7 +480,7 @@ mod tests {
             )
             .map(|_| ())
             .unwrap_err(),
-            StreamTrainError::EmptyCorpus
+            TrainError::EmptyCorpus
         );
         let _ = fs::remove_dir_all(&dir);
     }

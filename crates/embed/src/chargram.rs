@@ -16,12 +16,13 @@
 use crate::embedder::{check_matrix_finite, IntegrityFault, TermEmbedder, TunableEmbedder};
 use crate::negative::NegativeTable;
 use crate::sgns::{EpochSink, SgnsConfig, SgnsResume, SigmoidTable, TrainReport};
+use crate::word2vec::VocabBuilder;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tabmeta_linalg::Matrix;
-use tabmeta_text::{ngram_ids, NgramConfig, NumericClass, Vocabulary};
+use tabmeta_text::{ngram_ids, NgramConfig, Vocabulary};
 
 /// CharGram hyper-parameters: SGNS knobs plus the n-gram space.
 #[derive(Debug, Clone, Serialize, Deserialize, Default)]
@@ -73,28 +74,25 @@ impl CharGram {
         sentences: &[Vec<String>],
         config: CharGramConfig,
         resume: Option<(Self, SgnsResume)>,
+        sink: Option<EpochSink<'_, Self>>,
+    ) -> (Self, TrainReport, bool) {
+        let (vocab, encoded) = VocabBuilder::encode_all(sentences, config.sgns.min_count);
+        Self::train_encoded_resumable(vocab, &encoded, config, resume, sink)
+    }
+
+    /// [`CharGram::train_resumable`] over sentences already encoded
+    /// against `vocab` by [`VocabBuilder`] — the same seam, with the same
+    /// contract, as
+    /// [`Word2Vec::train_encoded_resumable`](crate::word2vec::Word2Vec::train_encoded_resumable):
+    /// the gram cache is derived from `vocab` alone, so out-of-core
+    /// training needs no more of the corpus than the word-level model.
+    pub fn train_encoded_resumable(
+        vocab: Vocabulary,
+        encoded: &[Vec<u32>],
+        config: CharGramConfig,
+        resume: Option<(Self, SgnsResume)>,
         mut sink: Option<EpochSink<'_, Self>>,
     ) -> (Self, TrainReport, bool) {
-        let mut counting = Vocabulary::new();
-        for s in sentences {
-            for t in s {
-                counting.add(t);
-            }
-        }
-        let (mut vocab, remap) = counting.filter_min_count(config.sgns.min_count.max(1));
-        for tok in NumericClass::all_tokens() {
-            vocab.intern(tok);
-        }
-        let encoded: Vec<Vec<u32>> = sentences
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .filter_map(|t| counting.id(t).and_then(|old| remap[old as usize]))
-                    .collect()
-            })
-            .filter(|s: &Vec<u32>| s.len() >= 2)
-            .collect();
-
         let (mut model, mut state) = match resume {
             Some((model, state)) => (model, state),
             None => {
@@ -129,7 +127,7 @@ impl CharGram {
 
         if model.config.sgns.threads > 1 && state.epochs_done == 0 {
             // Hogwild runs the stage whole; the sink sees only the end.
-            let report = model.run_sgns_hogwild(&encoded, &negatives);
+            let report = model.run_sgns_hogwild(encoded, &negatives);
             let mut interrupted = false;
             if let Some(sink) = sink.as_mut() {
                 let end = SgnsResume {
@@ -146,7 +144,7 @@ impl CharGram {
         let epochs = model.config.sgns.epochs;
         let mut interrupted = false;
         while state.epochs_done < epochs {
-            model.run_sgns_epoch(&encoded, &negatives, &mut state);
+            model.run_sgns_epoch(encoded, &negatives, &mut state);
             if let Some(sink) = sink.as_mut() {
                 if sink(&model, &state).is_break() {
                     interrupted = true;

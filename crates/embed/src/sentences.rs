@@ -47,6 +47,11 @@ pub fn sentences_from_tables(
 /// in table order, so the output is identical to the sequential path —
 /// extraction is pure per table, making this the easy half of the
 /// parallel training pipeline.
+///
+/// Times the `sentences` span but counts nothing: training extracts each
+/// shard's sentences once per pass, so the trainer records the
+/// `embed.sentences` counter and the sentence-length histogram itself,
+/// once per run.
 pub fn sentences_from_tables_par(
     tables: &[Table],
     tokenizer: &Tokenizer,
@@ -54,7 +59,7 @@ pub fn sentences_from_tables_par(
     threads: usize,
 ) -> Vec<Vec<String>> {
     tabmeta_obs::span!(tabmeta_obs::names::SPAN_SENTENCES);
-    let out: Vec<Vec<String>> = if threads > 1 {
+    if threads > 1 {
         let blocks: Vec<Vec<Vec<String>>> = tables
             .par_iter()
             .map(|t| {
@@ -70,15 +75,7 @@ pub fn sentences_from_tables_par(
             sentences_from_table(table, tokenizer, config, &mut out);
         }
         out
-    };
-    use tabmeta_obs::names;
-    let obs = tabmeta_obs::global();
-    obs.counter(names::EMBED_SENTENCES).add(out.len() as u64);
-    let lens = obs.histogram_with(names::EMBED_SENTENCE_LEN, 1, 256);
-    for sentence in &out {
-        lens.record(sentence.len() as u64);
     }
-    out
 }
 
 /// Append one table's sentences to `out`.

@@ -62,6 +62,19 @@ impl VocabBuilder {
         }
         (vocab, SentenceEncoder { counting: self.counting, remap })
     }
+
+    /// Both passes over resident sentences: build the vocabulary, then
+    /// encode every sentence against it — the input of
+    /// `train_encoded_resumable` for either embedder.
+    pub fn encode_all(sentences: &[Vec<String>], min_count: u64) -> (Vocabulary, Vec<Vec<u32>>) {
+        let mut builder = Self::new();
+        for s in sentences {
+            builder.observe(s);
+        }
+        let (vocab, encoder) = builder.finish(min_count);
+        let encoded = sentences.iter().filter_map(|s| encoder.encode(s)).collect();
+        (vocab, encoded)
+    }
 }
 
 /// Pass-B encoder: maps term-string sentences to final vocabulary ids,
@@ -123,17 +136,12 @@ impl Word2Vec {
         resume: Option<(Self, SgnsResume)>,
         sink: Option<EpochSink<'_, Self>>,
     ) -> (Self, TrainReport, bool) {
-        let mut builder = VocabBuilder::new();
-        for s in sentences {
-            builder.observe(s);
-        }
-        let (vocab, encoder) = builder.finish(config.min_count);
-        let encoded: Vec<Vec<u32>> = sentences.iter().filter_map(|s| encoder.encode(s)).collect();
+        let (vocab, encoded) = VocabBuilder::encode_all(sentences, config.min_count);
         Self::train_encoded_resumable(vocab, &encoded, config, resume, sink)
     }
 
     /// [`Word2Vec::train_resumable`] over pre-encoded sentences — the seam
-    /// the out-of-core path uses: pass A builds `vocab` via
+    /// the training driver uses: pass A builds `vocab` via
     /// [`VocabBuilder`], pass B encodes each shard with the returned
     /// [`SentenceEncoder`] and accumulates only the compact id lists, then
     /// hands them here. `vocab` is only consulted on a fresh start (a

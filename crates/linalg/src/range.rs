@@ -125,7 +125,7 @@ impl AngleRange {
 /// taking the extremes, which is what the training phase records as the
 /// corpus centroid range.
 /// Serializes as its raw sample list so a partially-built estimator can
-/// ride a checkpoint (the streaming trainer persists per-shard
+/// ride a checkpoint (training persists per-shard centroid
 /// accumulators) and resume with bit-identical state.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RangeEstimator {

@@ -19,7 +19,8 @@
 pub const SPAN_TRAIN: &str = "train";
 /// Sentence extraction + embedding training stage.
 pub const SPAN_EMBED: &str = "embed";
-/// Weak-label bootstrap stage.
+/// Weak labeling of one shard (the counted pass, and each fine-tune
+/// epoch's relabeling).
 pub const SPAN_BOOTSTRAP: &str = "bootstrap";
 /// Contrastive fine-tuning stage.
 pub const SPAN_FINETUNE: &str = "finetune";
@@ -38,7 +39,7 @@ pub const SPAN_EPOCH: &str = "epoch";
 pub const SPAN_CLI_TRAIN: &str = "cli.train";
 /// One durable checkpoint write (serialize + envelope + atomic rename).
 pub const SPAN_CHECKPOINT_WRITE: &str = "checkpoint.write";
-/// Whole out-of-core streaming training run (all shard passes).
+/// Whole out-of-core training run (all passes).
 pub const SPAN_STREAM_TRAIN: &str = "stream.train";
 
 // --- spans: bench harness ---------------------------------------------
@@ -84,11 +85,11 @@ pub const INGEST_QUARANTINED: &str = "ingest.quarantined";
 /// `invalid_utf8`, `invalid_shape`, `malformed_csv`, `malformed_html`,
 /// `io`).
 pub const INGEST_REJECTED_PREFIX: &str = "ingest.rejected.";
-/// Training sentences extracted from tables.
+/// Training sentences extracted from tables, counted once per run.
 pub const EMBED_SENTENCES: &str = "embed.sentences";
 /// SGNS (center, context) pairs trained, all epochs and workers.
 pub const SGNS_PAIRS: &str = "sgns.pairs";
-/// Tables weak-labeled by the bootstrap stage.
+/// Tables weak-labeled for centroid estimation, once per run.
 pub const BOOTSTRAP_TABLES: &str = "bootstrap.tables";
 /// Tables whose weak labels came from HTML markup (vs positional).
 pub const BOOTSTRAP_MARKUP_TABLES: &str = "bootstrap.markup_tables";
@@ -164,9 +165,10 @@ pub const CLASSIFY_INTERNED_TERMS: &str = "classify.interned_terms";
 pub const CLI_TOTAL_SECS: &str = "cli.total_secs";
 /// Wall-clock seconds of the most recent checkpoint write.
 pub const CHECKPOINT_WRITE_SECS: &str = "checkpoint.write_secs";
-/// Global epoch index training resumed from (set once per resume).
+/// Global epoch index training resumed from (set once per resume):
+/// SGNS epochs, then fine-tune epochs, then centroid shards.
 pub const CHECKPOINT_RESUMED_EPOCH: &str = "checkpoint.resumed_epoch";
-/// Effective shard row target the streaming trainer is currently using
+/// Effective shard row target out-of-core training is currently using
 /// (shrinks when the memory budget forces a spill).
 pub const STREAM_SHARD_ROWS: &str = "stream.shard_rows";
 /// Configured streaming memory budget (0 when unbounded).
@@ -293,8 +295,8 @@ pub static REGISTRY: &[MetricDef] = &[
         suffix: "",
         kind: Kind::Span,
         unit: "µs",
-        stage: "train",
-        doc: "Weak-label bootstrap over the corpus",
+        stage: "train, train/finetune/epoch",
+        doc: "Weak labeling of one shard: counted once per run under train, relabeled per fine-tune epoch",
     },
     MetricDef {
         name: SPAN_FINETUNE,
@@ -342,7 +344,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Span,
         unit: "µs",
         stage: "train/stream",
-        doc: "Whole out-of-core streaming training run (all shard passes)",
+        doc: "Whole out-of-core training run (all passes); its stages nest as under train",
     },
     // Spans — bench harness.
     MetricDef {
@@ -481,7 +483,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Counter,
         unit: "sentences",
         stage: "train/embed",
-        doc: "Training sentences extracted from tables",
+        doc: "Training sentences extracted from tables, counted once per run in pass A",
     },
     MetricDef {
         name: SGNS_PAIRS,
@@ -497,7 +499,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Counter,
         unit: "tables",
         stage: "train/bootstrap",
-        doc: "Tables weak-labeled by the bootstrap stage",
+        doc: "Tables weak-labeled for centroid estimation, once per run",
     },
     MetricDef {
         name: BOOTSTRAP_MARKUP_TABLES,
@@ -722,7 +724,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Gauge,
         unit: "epoch",
         stage: "train",
-        doc: "Global epoch index training resumed from (set once per resume)",
+        doc: "Global epoch resumed from: SGNS, then fine-tune epochs, then centroid shards",
     },
     MetricDef {
         name: STREAM_SHARD_ROWS,
@@ -811,7 +813,7 @@ pub static REGISTRY: &[MetricDef] = &[
         kind: Kind::Histogram,
         unit: "tokens",
         stage: "train/embed",
-        doc: "Sentence length distribution, bounds [1, 256)",
+        doc: "Sentence length distribution, once per run in pass A, bounds [1, 256)",
     },
     MetricDef {
         name: CLASSIFIER_BOUNDARY_DEPTH,

@@ -16,9 +16,8 @@
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 use std::path::Path;
-use tabmeta_core::checkpoint::{CheckpointScanReport, CheckpointStore};
-use tabmeta_core::persist::run_fingerprint;
-use tabmeta_core::{ArtifactError, Pipeline, PipelineConfig, TrainError};
+use tabmeta_core::checkpoint::CheckpointScanReport;
+use tabmeta_core::{ArtifactError, Pipeline, PipelineConfig, StreamBoundary, TrainError};
 use tabmeta_tabular::Table;
 
 /// How to damage the newest checkpoint after the kill.
@@ -74,7 +73,7 @@ impl CheckpointCorruption {
 pub struct CrashPlan {
     /// Kill training right after this global epoch's checkpoint is
     /// durable (SGNS epochs count from 1; fine-tune epochs continue
-    /// after the SGNS stage).
+    /// after the SGNS stage, centroid shards after both).
     pub kill_after_epoch: u64,
     /// Damage applied to the newest checkpoint file after the kill.
     pub corruption: CheckpointCorruption,
@@ -115,7 +114,8 @@ fn newest_checkpoint(dir: &Path) -> Result<Option<std::path::PathBuf>, TrainErro
 
 /// Execute one crash-recovery drill in `dir`:
 ///
-/// 1. train with checkpointing, killing after [`CrashPlan::kill_after_epoch`];
+/// 1. train with checkpointing, killing after [`CrashPlan::kill_after_epoch`]
+///    (the first boundary whose [`StreamBoundary::global_epoch`] reaches it);
 /// 2. damage the newest checkpoint per [`CrashPlan::corruption`]
 ///    (bypassing the atomic writer, the way real corruption does);
 /// 3. rescan the store — corrupt files must quarantine, never load;
@@ -129,29 +129,20 @@ pub fn run_crash_recovery(
     dir: &Path,
     plan: &CrashPlan,
 ) -> Result<CrashOutcome, TrainError> {
-    let fingerprint = run_fingerprint(config, tables);
-    let store = CheckpointStore::open(dir, fingerprint).map_err(TrainError::Checkpoint)?;
-
     let mut killed_at = None;
     let kill_after = plan.kill_after_epoch;
-    let mut kill_switch = |epoch: u64| {
-        if epoch >= kill_after {
+    let mut kill_switch = |at: StreamBoundary| match at.global_epoch(config) {
+        Some(epoch) if epoch >= kill_after => {
             killed_at = Some(epoch);
             ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
         }
+        _ => ControlFlow::Continue(()),
     };
-    let first_run = Pipeline::train_with_checkpoints(
-        tables,
-        config,
-        Some(&store),
-        None,
-        Some(&mut kill_switch),
-    );
+    let first_run =
+        Pipeline::train_with_checkpoints(tables, config, Some(dir), Some(&mut kill_switch));
     match first_run {
         Err(TrainError::Interrupted { .. }) => {}
-        Ok(finished) => {
+        Ok((finished, _)) => {
             // The kill point lies past the end of training.
             return Ok(CrashOutcome {
                 killed_at: None,
@@ -165,7 +156,7 @@ pub fn run_crash_recovery(
 
     let mut corrupted_file = None;
     if plan.corruption != CheckpointCorruption::Intact {
-        if let Some(path) = newest_checkpoint(store.dir())? {
+        if let Some(path) = newest_checkpoint(dir)? {
             let mut bytes = std::fs::read(&path)
                 .map_err(|e| ckpt_io(format!("read {}: {e}", path.display())))?;
             if plan.corruption.apply(&mut bytes) {
@@ -178,10 +169,14 @@ pub fn run_crash_recovery(
         }
     }
 
-    let (resume_from, scan) = store.latest_valid().map_err(TrainError::Checkpoint)?;
-    let recovered =
-        Pipeline::train_with_checkpoints(tables, config, Some(&store), resume_from, None)?;
-    Ok(CrashOutcome { killed_at, corrupted_file, scan, recovered })
+    // The resumed run rescans the store: corrupt files quarantine there.
+    let (recovered, summary) = Pipeline::train_with_checkpoints(tables, config, Some(dir), None)?;
+    Ok(CrashOutcome {
+        killed_at,
+        corrupted_file,
+        scan: summary.scan.unwrap_or_default(),
+        recovered,
+    })
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@ use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
 use tabmeta_core::checkpoint::CheckpointScanReport;
-use tabmeta_core::stream::{train_streaming, StreamBoundary, StreamTrainError, StreamTrainOptions};
-use tabmeta_core::{Pipeline, PipelineConfig};
+use tabmeta_core::stream::{train_streaming, StreamBoundary, StreamTrainOptions};
+use tabmeta_core::{Pipeline, PipelineConfig, TrainError};
 use tabmeta_tabular::stream::{DiskIo, RealDisk};
 use tabmeta_tabular::QuarantineReport;
 
@@ -51,7 +51,7 @@ pub fn enumerate_boundaries(
     config: &PipelineConfig,
     options: &StreamTrainOptions,
     disk: Arc<dyn DiskIo>,
-) -> Result<Vec<StreamBoundary>, StreamTrainError> {
+) -> Result<Vec<StreamBoundary>, TrainError> {
     let mut seen = Vec::new();
     let mut recorder = |at: StreamBoundary| {
         seen.push(at);
@@ -79,7 +79,7 @@ pub fn run_shard_chaos(
     checkpoint_dir: &Path,
     disk: Arc<dyn DiskIo>,
     kill_at: StreamBoundary,
-) -> Result<ShardChaosOutcome, StreamTrainError> {
+) -> Result<ShardChaosOutcome, TrainError> {
     let mut killed_at = None;
     let mut kill_switch = |at: StreamBoundary| {
         if at == kill_at {
@@ -98,7 +98,7 @@ pub fn run_shard_chaos(
         Some(&mut kill_switch),
     );
     match first_run {
-        Err(StreamTrainError::Interrupted { .. }) => {}
+        Err(TrainError::Interrupted { .. }) => {}
         Ok((finished, summary)) => {
             return Ok(ShardChaosOutcome {
                 killed_at: None,
@@ -123,7 +123,7 @@ pub struct FaultDrillOutcome {
     /// `Ok`: training completed; the ingestion report carries the
     /// quarantines. `Err`: training failed with this *typed* error
     /// (e.g. every open failing with EIO leaves an empty corpus).
-    pub result: Result<QuarantineReport, StreamTrainError>,
+    pub result: Result<QuarantineReport, TrainError>,
 }
 
 impl FaultDrillOutcome {
@@ -259,7 +259,7 @@ mod tests {
         let eio = outcomes.iter().find(|o| o.kind == DiskFaultKind::Eio).unwrap();
         assert_eq!(
             eio.result.as_ref().err(),
-            Some(&StreamTrainError::EmptyCorpus),
+            Some(&TrainError::EmptyCorpus),
             "all-EIO must be a typed error, not a panic"
         );
         // Write-only faults never touch the read path: clean training.

@@ -21,8 +21,7 @@ use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 use tabmeta::contrastive::{
-    atomic_write, load_pipeline, run_fingerprint, save_pipeline, CheckpointStore, Pipeline,
-    PipelineConfig,
+    atomic_write, load_pipeline, save_pipeline, Pipeline, PipelineConfig, StreamSummary,
 };
 use tabmeta::corpora::{CorpusKind, GeneratorConfig};
 use tabmeta::eval::{standard_keys, LevelKey, LevelScores};
@@ -50,7 +49,7 @@ impl Args {
             };
             match name {
                 // Boolean flags.
-                "score" | "lossy" | "resume" | "deterministic-only" | "json" | "stream" => {
+                "score" | "lossy" | "deterministic-only" | "json" | "stream" => {
                     pairs.push((name.to_string(), "true".to_string()))
                 }
                 _ => {
@@ -99,7 +98,6 @@ const COMMAND_FLAGS: &[(&str, &[&str])] = &[
             "seed",
             "config",
             "checkpoint-dir",
-            "resume",
             "out",
             "stream",
             "shard-rows",
@@ -230,11 +228,33 @@ fn load_corpus(path: &str, lossy: bool) -> Result<Corpus, String> {
     }
 }
 
+/// The `--config` preset for `--seed`.
+fn train_config(args: &Args, seed: u64) -> Result<PipelineConfig, String> {
+    match args.get("config").unwrap_or("fast") {
+        "fast" => Ok(PipelineConfig::fast_seeded(seed)),
+        "paper" => Ok(PipelineConfig::paper(seed)),
+        other => Err(format!("unknown --config '{other}' (fast|paper)")),
+    }
+}
+
+/// Report a finished run's checkpoint scan on stderr (quarantines, the
+/// checkpoint resumed from), then save the model under the run's
+/// fingerprint.
+fn finish_train(out: &str, pipeline: &Pipeline, summary: &StreamSummary) -> Result<(), String> {
+    if let Some(scan) = &summary.scan {
+        if !scan.is_clean() || scan.resumed_from.is_some() {
+            eprint!("{}", scan.render_text());
+        }
+    }
+    save_pipeline(Path::new(out), pipeline, summary.fingerprint)
+        .map_err(|e| format!("write {out}: {e}"))?;
+    println!("model saved to {out}");
+    Ok(())
+}
+
 /// `tabmeta train --stream`: out-of-core training over a corpus
-/// *directory* of `*.jsonl` / `*.csv` files. The corpus is streamed in
-/// bounded shards (never fully resident); with `--checkpoint-dir`, a
-/// killed run resumes from the newest valid checkpoint automatically
-/// (no separate `--resume` needed — the scan always runs).
+/// *directory* of `*.jsonl` / `*.csv` files, streamed in bounded shards
+/// (never fully resident) through the same trainer as `tabmeta train`.
 fn cmd_train_stream(args: &Args) -> Result<(), String> {
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -244,14 +264,7 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
     let dir = args.require("corpus")?;
     let seed = args.u64_or("seed", 42)?;
     let out = args.require("out")?;
-    // Streaming never runs the fine-tune stage (it would need a fourth
-    // pass holding aggregated level vectors for the whole corpus).
-    let config = match args.get("config").unwrap_or("fast") {
-        "fast" => PipelineConfig::fast_seeded(seed),
-        "paper" => PipelineConfig::paper(seed),
-        other => return Err(format!("unknown --config '{other}' (fast|paper)")),
-    }
-    .without_finetune();
+    let config = train_config(args, seed)?;
     let defaults = StreamTrainOptions::default();
     let options = StreamTrainOptions {
         shard_rows: args.u64_or("shard-rows", defaults.shard_rows as u64)? as usize,
@@ -273,11 +286,6 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
     if !summary.report.is_clean() {
         eprint!("{}", summary.report.render_text());
     }
-    if let Some(scan) = &summary.scan {
-        if !scan.is_clean() || scan.resumed_from.is_some() {
-            eprint!("{}", scan.render_text());
-        }
-    }
     let s = &summary.train;
     println!(
         "streamed {} tables ({} IO shards, {} centroid shards, {} spills) in {:.1}s: \
@@ -291,12 +299,12 @@ fn cmd_train_stream(args: &Args) -> Result<(), String> {
         s.sgns_pairs,
         s.markup_bootstrapped,
     );
-    save_pipeline(Path::new(out), &pipeline, summary.fingerprint)
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("model saved to {out}");
-    Ok(())
+    finish_train(out, &pipeline, &summary)
 }
 
+/// `tabmeta train`: train on a resident corpus. With `--checkpoint-dir`,
+/// a checkpoint lands after every epoch and centroid shard, and a killed
+/// run resumes from the newest valid one — the rule `--stream` follows.
 fn cmd_train(args: &Args) -> Result<(), String> {
     if args.get("stream").is_some() {
         return cmd_train_stream(args);
@@ -317,45 +325,17 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     };
     let seed = args.u64_or("seed", 42)?;
     let out = args.require("out")?;
-    let config = match args.get("config").unwrap_or("fast") {
-        "fast" => PipelineConfig::fast_seeded(seed),
-        "paper" => PipelineConfig::paper(seed),
-        other => return Err(format!("unknown --config '{other}' (fast|paper)")),
-    };
-    // The fingerprint binds checkpoints and the saved model to this exact
-    // config + corpus (minus the schedule-only `threads` knob).
-    let fingerprint = run_fingerprint(&config, &corpus.tables);
-    let store = match args.get("checkpoint-dir") {
-        Some(dir) => Some(
-            CheckpointStore::open(dir, fingerprint)
-                .map_err(|e| format!("open checkpoint dir {dir}: {e}"))?,
-        ),
-        None => None,
-    };
-    let resume_from = if args.get("resume").is_some() {
-        let store =
-            store.as_ref().ok_or("--resume needs --checkpoint-dir to scan for checkpoints")?;
-        let (checkpoint, report) =
-            store.latest_valid().map_err(|e| format!("scan checkpoints: {e}"))?;
-        if !report.is_clean() || report.resumed_from.is_some() {
-            eprint!("{}", report.render_text());
-        }
-        if checkpoint.is_none() {
-            eprintln!("no valid checkpoint found; training from scratch");
-        }
-        checkpoint
-    } else {
-        None
-    };
+    let config = train_config(args, seed)?;
+    let checkpoint_dir = args.get("checkpoint-dir").map(Path::new);
     // Wall-clock flows through the obs layer (TM-L002): the same interval
     // backs the `cli.train` span, the `cli.total_secs` gauge, and the
     // printed summary.
-    let (pipeline, elapsed) = tabmeta_obs::timed(names::SPAN_CLI_TRAIN, || {
-        Pipeline::train_with_checkpoints(&corpus.tables, &config, store.as_ref(), resume_from, None)
+    let (result, elapsed) = tabmeta_obs::timed(names::SPAN_CLI_TRAIN, || {
+        Pipeline::train_with_checkpoints(&corpus.tables, &config, checkpoint_dir, None)
     });
-    let pipeline = pipeline.map_err(|e| e.to_string())?;
+    let (pipeline, summary) = result.map_err(|e| e.to_string())?;
     tabmeta_obs::global().gauge(names::CLI_TOTAL_SECS).set(elapsed.as_secs_f64());
-    let s = pipeline.summary();
+    let s = &summary.train;
     println!(
         "trained in {:.1}s: {} sentences, {} SGNS pairs, {} markup-bootstrapped tables",
         elapsed.as_secs_f64(),
@@ -363,10 +343,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         s.sgns_pairs,
         s.markup_bootstrapped
     );
-    save_pipeline(Path::new(out), &pipeline, fingerprint)
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("model saved to {out}");
-    Ok(())
+    finish_train(out, &pipeline, &summary)
 }
 
 /// Load a model artifact through the validating loader; a rejection names
@@ -725,7 +702,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
 const USAGE: &str = "usage:
   tabmeta generate --corpus <name> [--tables N] [--seed S] --out corpus.jsonl
   tabmeta train    (--corpus corpus.jsonl [--lossy] | --csv-dir DIR) [--seed S] [--config fast|paper]
-                   [--checkpoint-dir DIR [--resume]] --out model.tma
+                   [--checkpoint-dir DIR] --out model.tma
   tabmeta train    --stream --corpus DIR [--shard-rows N] [--mem-budget BYTES]
                    [--quarantine-dir DIR] [--centroid-shard-tables N]
                    [--checkpoint-dir DIR] [--seed S] [--config fast|paper] --out model.tma
@@ -753,17 +730,17 @@ const USAGE: &str = "usage:
   re-measured in-process.
   --lossy: quarantine malformed JSONL records (report on stderr) instead of
   aborting on the first bad line.
-  --checkpoint-dir: write a durable checkpoint after every training epoch;
-  with --resume, continue from the newest valid checkpoint in that
-  directory (corrupt ones are quarantined and reported on stderr).
+  --checkpoint-dir: write a durable checkpoint after every SGNS epoch,
+  fine-tune epoch and centroid shard, and resume a killed run from the
+  newest valid checkpoint in that directory (byte-identical to an
+  uninterrupted run at one thread; corrupt ones are quarantined and
+  reported on stderr). The same rule holds with --stream.
   --stream: out-of-core training over a corpus *directory* of .jsonl/.csv
   files, streamed in shards of --shard-rows table rows; the corpus is
-  never fully resident. --mem-budget (bytes, against the counting
+  never fully resident. The stages, fine-tuning included, are those of
+  in-memory training. --mem-budget (bytes, against the counting
   allocator) shrinks shards when exceeded instead of OOMing. Disk faults
   quarantine records (shard.quarantined.* counters) rather than aborting.
-  Checkpoints land after every SGNS epoch and centroid shard; with
-  --checkpoint-dir a killed run resumes automatically (byte-identical to
-  an uninterrupted run at one thread). Fine-tuning is skipped.
   Models are saved as versioned, checksummed artifacts and are fully
   validated on load.
   serve: length-prefixed JSON over TCP (4-byte little-endian frame length).
@@ -876,7 +853,7 @@ mod tests {
 
     #[test]
     fn known_flags_pass_validation_per_subcommand() {
-        let boolean = ["score", "lossy", "resume", "deterministic-only", "json", "stream"];
+        let boolean = ["score", "lossy", "deterministic-only", "json", "stream"];
         for (cmd, flags) in COMMAND_FLAGS {
             let raw: Vec<String> = flags
                 .iter()
