@@ -11,18 +11,24 @@ cargo build --release --offline
 # The vendored rayon honours RAYON_NUM_THREADS (oversubscription allowed),
 # so the suite runs twice: once sequential, once with the concurrent code
 # paths (Hogwild SGNS, parallel bootstrap/centroid) actually exercised.
+# The sequential run is also the crash-recovery gate
+# (tests/crash_recovery.rs): 20 seeded kill-points across both embedders;
+# every resume must be byte-identical to the uninterrupted run, and
+# corrupted checkpoints must quarantine with a typed reason, never load.
+# It needs one rayon thread — the identity claim is about the sequential
+# path.
 echo "==> cargo test -q (RAYON_NUM_THREADS=1)"
 RAYON_NUM_THREADS=1 cargo test -q --offline
 
+# The concurrent run is also the chaos gate: the seeded fault-injection
+# chaos suite (tests/chaos.rs) at four rayon threads.
 echo "==> cargo test -q (RAYON_NUM_THREADS=4)"
 RAYON_NUM_THREADS=4 cargo test -q --offline
 
-# Resilience gate: the seeded fault-injection chaos suite (tests/chaos.rs,
-# also part of the root runs above) plus the unit suites of the crates that
-# implement the panic-free data path — quarantine ingestion, degraded-mode
+# Resilience gate: the unit suites of the crates that implement the
+# panic-free data path — quarantine ingestion, degraded-mode
 # classification, and the injector itself.
-echo "==> cargo test -q (resilience: chaos + data-path crates)"
-RAYON_NUM_THREADS=4 cargo test -q --offline --test chaos
+echo "==> cargo test -q (resilience: data-path crates)"
 cargo test -q --offline -p tabmeta-resilience -p tabmeta-tabular -p tabmeta-core -p tabmeta-text
 
 # Crate-test gate: the root runs above build only the root package's test
@@ -38,13 +44,6 @@ echo "==> cargo test -q (remaining workspace crates)"
 cargo test -q --offline -p tabmeta-serve -p tabmeta-lint -p tabmeta-linalg -p tabmeta-embed \
   -p tabmeta-corpora -p tabmeta-baselines -p rayon -p rand -p proptest -p criterion
 cargo test -q --offline --release -p tabmeta-eval
-
-# Crash-recovery gate: 20 seeded kill-points across both embedders; every
-# resume must be byte-identical to the uninterrupted run, and corrupted
-# checkpoints must quarantine with a typed reason, never load. Pinned to
-# one rayon thread — the identity claim is about the sequential path.
-echo "==> cargo test -q --test crash_recovery (RAYON_NUM_THREADS=1)"
-RAYON_NUM_THREADS=1 cargo test -q --offline --test crash_recovery
 
 # Perf-trajectory gate: the bench/obs unit suites (quantiles, timeline,
 # report schema, compare semantics), then a tiny smoke run of `tabmeta
