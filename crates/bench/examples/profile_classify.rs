@@ -5,11 +5,17 @@
 //! cargo run --release --offline -p tabmeta-bench --example profile_classify
 //! ```
 
-use std::time::Instant;
+use std::time::Duration;
 use tabmeta_core::{LevelVectorCache, Pipeline, PipelineConfig, TermInterner};
 use tabmeta_corpora::{CorpusKind, GeneratorConfig};
 use tabmeta_embed::TermEmbedder;
+use tabmeta_obs::clock::monotonic_micros;
 use tabmeta_tabular::Axis;
+
+/// Wall-clock since a `monotonic_micros()` reading.
+fn since(start: u64) -> Duration {
+    Duration::from_micros(monotonic_micros() - start)
+}
 
 fn main() {
     let corpus = CorpusKind::Ckg.generate(&GeneratorConfig { n_tables: 240, seed: 2025 });
@@ -26,11 +32,11 @@ fn main() {
     const REPS: usize = 50;
 
     // Full batched classify.
-    let start = Instant::now();
+    let start = monotonic_micros();
     for _ in 0..REPS {
         let _ = pipeline.classify_corpus(test);
     }
-    let full = start.elapsed();
+    let full = since(start);
     println!(
         "full batch: {:?} total, {:.1} us/table",
         full / REPS as u32,
@@ -42,13 +48,13 @@ fn main() {
     let tokenizer = pipeline.tokenizer();
     let mut interner = TermInterner::new();
     let mut token_buf = Vec::new();
-    let start = Instant::now();
+    let start = monotonic_micros();
     for _ in 0..REPS {
         for t in test {
             let _ = LevelVectorCache::build(t, embedder, tokenizer, &mut interner, &mut token_buf);
         }
     }
-    let build = start.elapsed();
+    let build = since(start);
     println!(
         "cache build: {:?} total, {:.1} us/table",
         build / REPS as u32,
@@ -57,7 +63,7 @@ fn main() {
 
     // Cache build + both axis_vectors (aggregation without the walk).
     let dim = embedder.dim();
-    let start = Instant::now();
+    let start = monotonic_micros();
     for _ in 0..REPS {
         for t in test {
             let cache =
@@ -66,7 +72,7 @@ fn main() {
             let _ = cache.axis_vectors(Axis::Column, &interner, dim);
         }
     }
-    let agg = start.elapsed();
+    let agg = since(start);
     println!(
         "build+aggregate: {:?} total, {:.1} us/table",
         agg / REPS as u32,
@@ -76,13 +82,13 @@ fn main() {
     // classify_with_scratch with ONE scratch persisting across all reps
     // (steady state: interner and cell memo fully warm after rep 1).
     let mut scratch = pipeline.classify_scratch();
-    let start = Instant::now();
+    let start = monotonic_micros();
     for _ in 0..REPS {
         for t in test {
             let _ = pipeline.classify_with_scratch(t, &mut scratch);
         }
     }
-    let warm = start.elapsed();
+    let warm = since(start);
     println!(
         "classify warm scratch: {:?} total, {:.1} us/table",
         warm / REPS as u32,
@@ -90,14 +96,14 @@ fn main() {
     );
 
     // Fresh scratch per batch (what a batch call pays on a cold pool).
-    let start = Instant::now();
+    let start = monotonic_micros();
     for _ in 0..REPS {
         let mut scratch = pipeline.classify_scratch();
         for t in test {
             let _ = pipeline.classify_with_scratch(t, &mut scratch);
         }
     }
-    let cold = start.elapsed();
+    let cold = since(start);
     println!(
         "classify fresh-per-batch scratch: {:?} total, {:.1} us/table",
         cold / REPS as u32,

@@ -9,8 +9,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod perf;
-
 use tabmeta_core::{Pipeline, PipelineConfig};
 use tabmeta_corpora::{CorpusKind, GeneratorConfig};
 use tabmeta_eval::ExperimentConfig;

@@ -1,10 +1,11 @@
 //! Turning tables into training sentences.
 //!
 //! §IV-C: *"The training set is comprised of table tuples/rows. We
-//! tokenize, embed, encode each tuple … We add [CLS] at the start of each
-//! row and [SEP] between the cells."* We reproduce the row serialization
-//! (with the `[SEP]` cell boundary token) and additionally emit column
-//! sentences, since VMD classification consumes columnar co-occurrence.
+//! tokenize, embed, encode each tuple … We add \[CLS\] at the start of
+//! each row and \[SEP\] between the cells."* We reproduce the row
+//! serialization (with the `[SEP]` cell boundary token) and additionally
+//! emit column sentences, since VMD classification consumes columnar
+//! co-occurrence.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};

@@ -198,8 +198,9 @@ pub fn inference_scaling(config: &ExperimentConfig) -> Vec<ScalingResult> {
     // Cold per-table cost (fresh scratch per call): the §IV-G claim is
     // about the inherent embedding-based processing of one table. The
     // pooled `Pipeline::classify` amortizes tokenization/vocabulary work
-    // across calls and would measure the memo instead of the method (see
-    // BENCH_classify.json for that warm batched trajectory).
+    // across calls and would measure the memo instead of the method
+    // (perfbench's `classify_bulk` workload measures that warm batched
+    // path).
     measure("Our method", &mut |t| {
         let mut scratch = ours.classify_scratch();
         let _ = ours.classify_with_scratch(t, &mut scratch);
@@ -234,8 +235,8 @@ pub fn hybrid_routing(config: &ExperimentConfig) -> (f64, f64, f64) {
     // [`inference_scaling`]: the hybrid's premise — cheap rules for
     // simple tables, expensive embeddings for complex ones — is a claim
     // about the unamortized cost of one table. The pooled warm path
-    // (BENCH_classify.json) undercuts Pytheas at this scale, which is a
-    // property of our memoization, not of the paper's cost model.
+    // (perfbench's `classify_bulk`) undercuts Pytheas at this scale, which
+    // is a property of our memoization, not of the paper's cost model.
     let ours_only = time_per_table(&corpus.tables, |t| {
         let mut scratch = methods.ours.classify_scratch();
         let _ = methods.ours.classify_with_scratch(t, &mut scratch);

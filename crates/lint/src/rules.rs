@@ -193,21 +193,20 @@ pub fn check_registry(names: &Names, usage: &UsageTracker, out: &mut Vec<Violati
 
 /// Which rule families apply to a file, based on its workspace location.
 struct Scope {
-    /// TM-L002: `Instant::now` is legitimate inside the obs crate (it
-    /// implements the timing) and the bench crate (it measures kernels).
+    /// TM-L002: `Instant::now` is legitimate only inside the obs crate
+    /// (it implements the timing).
     timing_checked: bool,
     /// TM-L004: the obs crate itself (registry home + its private-registry
     /// unit tests) is exempt.
     metrics_checked: bool,
-    /// TM-L005: binaries, tests, examples, benches, and the two
-    /// reporting crates (bench, eval) may print.
+    /// TM-L005: binaries, tests, examples, benches, and the eval
+    /// reporting crate may print.
     stdout_checked: bool,
 }
 
 impl Scope {
     fn classify(rel: &str) -> Scope {
         let in_obs = rel.starts_with("crates/obs/");
-        let in_bench = rel.starts_with("crates/bench/");
         let in_eval = rel.starts_with("crates/eval/");
         let in_test_like = rel.starts_with("tests/")
             || rel.starts_with("examples/")
@@ -218,14 +217,9 @@ impl Scope {
             || rel.contains("/src/bin/")
             || rel.ends_with("src/main.rs");
         Scope {
-            timing_checked: !in_obs && !in_bench,
+            timing_checked: !in_obs,
             metrics_checked: !in_obs,
-            stdout_checked: !in_obs
-                && !in_bench
-                && !in_eval
-                && !in_test_like
-                && !is_bin
-                && rel.ends_with(".rs"),
+            stdout_checked: !in_obs && !in_eval && !in_test_like && !is_bin && rel.ends_with(".rs"),
         }
     }
 }
@@ -369,7 +363,7 @@ fn check_l002(rel: &str, source: &str, scan: &Scan, out: &mut Vec<Violation>) {
             scan,
             at,
             "TM-L002",
-            "raw `Instant::now()` outside crates/obs and crates/bench; route timing through \
+            "raw `Instant::now()` outside crates/obs; route timing through \
              `tabmeta_obs::timed`/spans so wall-clock lands in the telemetry snapshot"
                 .to_string(),
             out,
@@ -658,7 +652,7 @@ fn check_l005(rel: &str, source: &str, scan: &Scan, out: &mut Vec<Violation>) {
                 "TM-L005",
                 format!(
                     "`{needle}` in a library crate; return strings or record through \
-                     tabmeta-obs instead (binaries, tests, bench and eval reporting are exempt)"
+                     tabmeta-obs instead (binaries, tests, benches and eval reporting are exempt)"
                 ),
                 out,
             );

@@ -1,4 +1,4 @@
-//! Monotonic process clock for code outside the obs/bench crates.
+//! Monotonic process clock for code outside the obs crate.
 //!
 //! Rule TM-L002 confines raw `Instant::now()` to the obs layer so that
 //! timing stays observable and mockable in one place. Long-lived runtime

@@ -10,8 +10,9 @@
 //! static ALLOC: tabmeta_obs::mem::CountingAlloc = tabmeta_obs::mem::CountingAlloc;
 //! ```
 //!
-//! The bench harness and CLI install it (root feature `mem-track`, on by
-//! default); library/test builds that don't simply read zeros —
+//! The CLI and the root examples install it (root feature `mem-track`,
+//! on by default): `train --stream --mem-budget` enforces its budget
+//! against it. Library/test builds that don't simply read zeros —
 //! [`is_tracking`] distinguishes the two. [`publish`] mirrors both
 //! numbers into `mem.current_bytes` / `mem.peak_bytes` gauges, and
 //! [`reset_peak`] rebases the high-water mark so peak heap is measurable

@@ -42,17 +42,6 @@ pub const SPAN_CHECKPOINT_WRITE: &str = "checkpoint.write";
 /// Whole out-of-core training run (all passes).
 pub const SPAN_STREAM_TRAIN: &str = "stream.train";
 
-// --- spans: bench harness ---------------------------------------------
-
-/// Bench harness: one measured batch-classify iteration.
-pub const SPAN_BENCH_CLASSIFY: &str = "bench.classify";
-/// Bench harness: one measured training run.
-pub const SPAN_BENCH_TRAIN: &str = "bench.train";
-/// Bench harness: one measured JSONL ingestion pass.
-pub const SPAN_BENCH_INGEST: &str = "bench.ingest";
-/// Bench harness: one measured serve load-generation pass.
-pub const SPAN_BENCH_SERVE: &str = "bench.serve";
-
 // --- spans: eval harness ----------------------------------------------
 
 /// Eval: our pipeline's training run in the runtime experiment.
@@ -173,14 +162,6 @@ pub const CHECKPOINT_RESUMED_EPOCH: &str = "checkpoint.resumed_epoch";
 pub const STREAM_SHARD_ROWS: &str = "stream.shard_rows";
 /// Configured streaming memory budget (0 when unbounded).
 pub const STREAM_BUDGET_BYTES: &str = "stream.budget_bytes";
-/// Bench harness: batch classify throughput of the most recent run.
-pub const BENCH_CLASSIFY_TABLES_PER_SEC: &str = "bench.classify.tables_per_sec";
-/// Bench harness: SGNS pair throughput of the most recent run.
-pub const BENCH_TRAIN_PAIRS_PER_SEC: &str = "bench.train.pairs_per_sec";
-/// Bench harness: JSONL ingestion row throughput of the most recent run.
-pub const BENCH_INGEST_ROWS_PER_SEC: &str = "bench.ingest.rows_per_sec";
-/// Bench harness: serve request throughput of the most recent run.
-pub const BENCH_SERVE_REQUESTS_PER_SEC: &str = "bench.serve.requests_per_sec";
 /// Admitted serve requests currently waiting for a classify permit.
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
 /// Serve requests currently classifying, each holding a permit.
@@ -197,8 +178,6 @@ pub const EMBED_SENTENCE_LEN: &str = "embed.sentence_len";
 /// Metadata boundary depth per classified axis, bounds [1, 16); depth 0
 /// (headerless axes) lands in the underflow bucket.
 pub const CLASSIFIER_BOUNDARY_DEPTH: &str = "classifier.boundary_depth";
-/// Bench harness: per-table classify latency distribution.
-pub const BENCH_CLASSIFY_TABLE_MICROS: &str = "bench.classify.table_micros";
 /// Serve request latency (admission to response ready), permit wait
 /// included; p50/p90/p99 come from the histogram quantiles.
 pub const SERVE_REQUEST_MICROS: &str = "serve.request_micros";
@@ -345,39 +324,6 @@ pub static REGISTRY: &[MetricDef] = &[
         unit: "µs",
         stage: "train/stream",
         doc: "Whole out-of-core training run (all passes); its stages nest as under train",
-    },
-    // Spans — bench harness.
-    MetricDef {
-        name: SPAN_BENCH_CLASSIFY,
-        suffix: "",
-        kind: Kind::Span,
-        unit: "µs",
-        stage: "bench",
-        doc: "Bench harness: one measured batch-classify iteration",
-    },
-    MetricDef {
-        name: SPAN_BENCH_TRAIN,
-        suffix: "",
-        kind: Kind::Span,
-        unit: "µs",
-        stage: "bench",
-        doc: "Bench harness: one measured training run",
-    },
-    MetricDef {
-        name: SPAN_BENCH_INGEST,
-        suffix: "",
-        kind: Kind::Span,
-        unit: "µs",
-        stage: "bench",
-        doc: "Bench harness: one measured JSONL ingestion pass",
-    },
-    MetricDef {
-        name: SPAN_BENCH_SERVE,
-        suffix: "",
-        kind: Kind::Span,
-        unit: "µs",
-        stage: "bench",
-        doc: "Bench harness: one measured serve load-generation pass",
     },
     // Spans — eval harness.
     MetricDef {
@@ -743,38 +689,6 @@ pub static REGISTRY: &[MetricDef] = &[
         doc: "Configured streaming memory budget (0 when unbounded)",
     },
     MetricDef {
-        name: BENCH_CLASSIFY_TABLES_PER_SEC,
-        suffix: "",
-        kind: Kind::Gauge,
-        unit: "tables/s",
-        stage: "bench",
-        doc: "Batch classify throughput of the most recent bench run",
-    },
-    MetricDef {
-        name: BENCH_TRAIN_PAIRS_PER_SEC,
-        suffix: "",
-        kind: Kind::Gauge,
-        unit: "pairs/s",
-        stage: "bench",
-        doc: "SGNS pair throughput of the most recent bench run",
-    },
-    MetricDef {
-        name: BENCH_INGEST_ROWS_PER_SEC,
-        suffix: "",
-        kind: Kind::Gauge,
-        unit: "rows/s",
-        stage: "bench",
-        doc: "JSONL ingestion row throughput of the most recent bench run",
-    },
-    MetricDef {
-        name: BENCH_SERVE_REQUESTS_PER_SEC,
-        suffix: "",
-        kind: Kind::Gauge,
-        unit: "requests/s",
-        stage: "bench",
-        doc: "Serve request throughput of the most recent bench run",
-    },
-    MetricDef {
         name: SERVE_QUEUE_DEPTH,
         suffix: "",
         kind: Kind::Gauge,
@@ -822,14 +736,6 @@ pub static REGISTRY: &[MetricDef] = &[
         unit: "levels",
         stage: "classify",
         doc: "Metadata boundary depth per axis, bounds [1, 16); depth 0 underflows",
-    },
-    MetricDef {
-        name: BENCH_CLASSIFY_TABLE_MICROS,
-        suffix: "",
-        kind: Kind::Histogram,
-        unit: "µs",
-        stage: "bench",
-        doc: "Per-table classify latency distribution in the bench harness",
     },
     MetricDef {
         name: SERVE_REQUEST_MICROS,

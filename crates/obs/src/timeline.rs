@@ -1,6 +1,6 @@
 //! Structured trace timeline: timestamped span open/close events.
 //!
-//! Where [`crate::span`] aggregates (count/total/min/max per path), the
+//! Where [`crate::span`](mod@crate::span) aggregates (count/total/min/max per path), the
 //! timeline keeps the *sequence*: every span open and close lands in a
 //! bounded, mutex-buffered event log with a monotonic timestamp (offset
 //! from the log's epoch), the full `/`-joined parent chain, and a compact

@@ -437,10 +437,12 @@ fn watcher_loop(shared: &Shared, path: PathBuf) {
             }
             Err(e) => {
                 // Typed rejection: the candidate failed envelope or deep
-                // validation; the old model keeps serving.
+                // validation; the old model keeps serving. The reason is
+                // stored before the counter moves, so a reader that sees
+                // the new count and then takes the lock reads this reason.
+                *shared.last_reload_error.lock() = e.reason().to_string();
                 shared.stats.reload_rejected.fetch_add(1, Ordering::Relaxed);
                 shared.instruments.reload_rejected.inc();
-                *shared.last_reload_error.lock() = e.reason().to_string();
             }
         }
     }
@@ -574,8 +576,8 @@ impl Server {
     }
 }
 
-/// A minimal blocking client for the serve protocol, used by the CLI,
-/// the bench load generator, and the chaos gate.
+/// A minimal blocking client for the serve protocol, used by perfbench's
+/// load generator, the serve tests and the chaos soaks.
 pub struct Client {
     stream: TcpStream,
     max_frame_bytes: u32,

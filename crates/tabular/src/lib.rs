@@ -16,8 +16,9 @@
 //!   row/column labels and level views along either [`table::Axis`],
 //! * [`csv`] — the CSV serialization used by the Pytheas baseline and the
 //!   LLM prompt protocol,
-//! * [`htmlite`] — a simplified HTML table dialect (`<table><thead><tr>
-//!   <th>…`) used by the bootstrap labeler and the RAG store,
+//! * [`htmlite`] — a simplified HTML table dialect
+//!   (`<table><thead><tr><th>…`) used by the bootstrap labeler and the
+//!   RAG store,
 //! * [`corpus::Corpus`] — a named collection of tables with JSONL
 //!   persistence and structure statistics,
 //! * [`json`] — the tree-free pull reader every runtime path decodes

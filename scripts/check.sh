@@ -16,7 +16,9 @@ cargo build --release --offline
 # every resume must be byte-identical to the uninterrupted run, and
 # corrupted checkpoints must quarantine with a typed reason, never load.
 # It needs one rayon thread — the identity claim is about the sequential
-# path.
+# path. Both runs are also the work gate (tests/artifact_pins.rs): the
+# pinned trained bytes, sentence and SGNS-pair counts, and a digest of
+# held-out classify_corpus verdicts, which splits over the rayon threads.
 echo "==> cargo test -q (RAYON_NUM_THREADS=1)"
 RAYON_NUM_THREADS=1 cargo test -q --offline
 
@@ -32,53 +34,20 @@ echo "==> cargo test -q (resilience: data-path crates)"
 cargo test -q --offline -p tabmeta-resilience -p tabmeta-tabular -p tabmeta-core -p tabmeta-text
 
 # Crate-test gate: the root runs above build only the root package's test
-# binaries, and the -p stages around this one cover resilience, tabular,
-# core, text, bench and obs. This stage runs the unit and integration
-# tests of every other workspace member: the server (shedding, poisoned
-# requests, the permit wake path), the lint (lock-order sync, fixture
-# snapshot, workspace self-check, LINTS.md sync), the linalg kernel
-# proptests, embed, corpora, baselines, and the vendored crates that
-# carry tests. tabmeta-eval's experiments run in release: in debug they
-# take many minutes.
+# binaries, and the resilience stage covers resilience, tabular, core and
+# text. This stage runs the unit and integration tests of every other
+# workspace member: the server (shedding, poisoned requests, the permit
+# wake path), the lint (lock-order sync, fixture snapshot, workspace
+# self-check, LINTS.md sync), the linalg kernel proptests, embed, corpora,
+# baselines, the vendored crates that carry tests, and obs with the
+# counting allocator compiled in (quantiles, timeline, the METRICS.md
+# sync). tabmeta-eval's experiments run in release: in debug they take
+# many minutes.
 echo "==> cargo test -q (remaining workspace crates)"
 cargo test -q --offline -p tabmeta-serve -p tabmeta-lint -p tabmeta-linalg -p tabmeta-embed \
   -p tabmeta-corpora -p tabmeta-baselines -p rayon -p rand -p proptest -p criterion
-cargo test -q --offline --release -p tabmeta-eval
-
-# Perf-trajectory gate: the bench/obs unit suites (quantiles, timeline,
-# report schema, compare semantics), then a tiny smoke run of `tabmeta
-# bench` — same-seed runs must agree on work counts (determinism gate),
-# self-compare must pass the throughput gate, and a synthetically boosted
-# baseline (1.5x => a 33% apparent regression vs the 20% tolerance) must
-# fail it with a nonzero exit.
-echo "==> bench smoke"
-cargo test -q --offline -p tabmeta-bench
 cargo test -q --offline -p tabmeta-obs --features alloc-track
-BENCH_TMP="$(mktemp -d)"
-trap 'rm -rf "$BENCH_TMP"' EXIT
-TABMETA=target/release/tabmeta
-mkdir -p "$BENCH_TMP/a" "$BENCH_TMP/b"
-"$TABMETA" bench --workload all --tables 60 --warmup 0 --iters 1 --seed 11 --out-dir "$BENCH_TMP/a" >/dev/null
-"$TABMETA" bench --workload all --tables 60 --warmup 0 --iters 1 --seed 11 --out-dir "$BENCH_TMP/b" >/dev/null
-for w in classify train serve; do
-  "$TABMETA" bench --compare "$BENCH_TMP/a/BENCH_$w.json" --current "$BENCH_TMP/b/BENCH_$w.json" --deterministic-only >/dev/null
-  "$TABMETA" bench --compare "$BENCH_TMP/a/BENCH_$w.json" --current "$BENCH_TMP/a/BENCH_$w.json" >/dev/null
-done
-"$TABMETA" bench --scale "$BENCH_TMP/a/BENCH_classify.json" --factor 1.5 --out "$BENCH_TMP/boosted.json" >/dev/null
-if "$TABMETA" bench --compare "$BENCH_TMP/boosted.json" --current "$BENCH_TMP/a/BENCH_classify.json" >/dev/null 2>&1; then
-  echo "bench compare failed to flag a 33% throughput regression" >&2
-  exit 1
-fi
-
-# Committed-baseline gate: re-measure at each committed BENCH_*.json
-# baseline's own scale (seed 2025, 240 tables) and enforce work-map
-# equality against it, so any PR that changes how much work a workload does
-# (tables seen/classified, pairs trained, requests served) fails loudly.
-# Deterministic-only: wall-clock throughput varies across boxes; the
-# measured trajectory is recorded in EXPERIMENTS.md instead.
-for baseline in BENCH_classify.json BENCH_train.json BENCH_serve.json; do
-  "$TABMETA" bench --compare "$baseline" --deterministic-only >/dev/null
-done
+cargo test -q --offline --release -p tabmeta-eval
 
 # Serve chaos gate: a 30-second seeded mixed-traffic soak against the
 # classification server — ≥15% wire-malformed frames, slowloris peers, and
@@ -140,14 +109,17 @@ RAYON_NUM_THREADS=4 cargo test -q --offline --release --test shard_chaos
 # run's real peak the spill governor must fire at least once, the run
 # must still complete, and the streamed model must classify.
 echo "==> stream mem-budget assertion"
-STREAM_DIR="$BENCH_TMP/stream-corpus"
+CHECK_TMP="$(mktemp -d)"
+trap 'rm -rf "$CHECK_TMP"' EXIT
+TABMETA=target/release/tabmeta
+STREAM_DIR="$CHECK_TMP/stream-corpus"
 mkdir -p "$STREAM_DIR"
 for kind in saus wdc cius; do
   "$TABMETA" generate --corpus "$kind" --tables 400 --seed 2025 \
     --out "$STREAM_DIR/$kind.jsonl" >/dev/null
 done
 for threads in 1 4; do
-  MODEL="$BENCH_TMP/streamed-$threads.tma"
+  MODEL="$CHECK_TMP/streamed-$threads.tma"
   LINE="$(RAYON_NUM_THREADS=$threads "$TABMETA" train --stream \
     --corpus "$STREAM_DIR" --seed 2025 --shard-rows 512 \
     --mem-budget $((4 * 1024 * 1024)) --out "$MODEL" 2>/dev/null \
@@ -188,5 +160,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Rustdoc gate: every doc comment in the workspace, vendored crates
+# included, renders without a warning (broken intra-doc links, unclosed
+# HTML tags in prose).
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "All checks passed."

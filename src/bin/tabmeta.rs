@@ -9,8 +9,6 @@
 //! tabmeta inspect  --model model.json
 //! tabmeta stats    --corpus corpus.jsonl
 //! tabmeta reproduce --artifact table5 [--tables N] [--seed S]
-//! tabmeta bench    [--workload classify|train|serve|all] [--out-dir DIR]
-//! tabmeta bench    --compare BENCH_classify.json [--current run.json]
 //! tabmeta serve    --model model.tma [--addr HOST:PORT] [--workers N]
 //! ```
 //!
@@ -28,8 +26,9 @@ use tabmeta::eval::{standard_keys, LevelKey, LevelScores};
 use tabmeta::obs::names;
 use tabmeta::tabular::{csv, Corpus};
 
-// Heap accounting for BENCH_*.json peak-memory numbers (satellite of the
-// perf-observability layer); `--no-default-features` builds without it.
+// Heap accounting: `train --stream --mem-budget` enforces its budget
+// against it, and telemetry reports it; `--no-default-features` builds
+// without it.
 #[cfg(feature = "mem-track")]
 #[global_allocator]
 static ALLOC: tabmeta::obs::mem::CountingAlloc = tabmeta::obs::mem::CountingAlloc;
@@ -49,7 +48,7 @@ impl Args {
             };
             match name {
                 // Boolean flags.
-                "score" | "lossy" | "deterministic-only" | "json" | "stream" => {
+                "score" | "lossy" | "json" | "stream" => {
                     pairs.push((name.to_string(), "true".to_string()))
                 }
                 _ => {
@@ -75,17 +74,10 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("--{name} must be an integer")),
         }
     }
-
-    fn f64_opt(&self, name: &str) -> Result<Option<f64>, String> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|_| format!("--{name} must be a number")),
-        }
-    }
 }
 
 /// Known flags per subcommand; `check_known_flags` rejects anything
-/// else, so a misspelled `--tolerence` fails loudly instead of being
+/// else, so a misspelled `--deadline-sm` fails loudly instead of being
 /// silently ignored.
 const COMMAND_FLAGS: &[(&str, &[&str])] = &[
     ("generate", &["corpus", "tables", "seed", "out"]),
@@ -111,24 +103,6 @@ const COMMAND_FLAGS: &[(&str, &[&str])] = &[
     ("stats", &["corpus", "lossy"]),
     ("reproduce", &["artifact", "tables", "seed"]),
     ("lint", &["root", "json"]),
-    (
-        "bench",
-        &[
-            "workload",
-            "tables",
-            "seed",
-            "warmup",
-            "iters",
-            "out-dir",
-            "compare",
-            "current",
-            "tolerance",
-            "deterministic-only",
-            "scale",
-            "factor",
-            "out",
-        ],
-    ),
     (
         "serve",
         &[
@@ -524,99 +498,6 @@ fn cmd_reproduce(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `tabmeta bench`: run the seeded perf workloads into `BENCH_*.json`
-/// reports, or compare/scale existing reports.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    use tabmeta::bench::perf;
-
-    // Fixture mode: scale a report's throughput metrics (used by
-    // scripts/check.sh to synthesize a regression baseline).
-    if let Some(path) = args.get("scale") {
-        let factor =
-            args.f64_opt("factor")?.ok_or("--scale needs --factor (throughput multiplier)")?;
-        let out = args.require("out")?;
-        let scaled = perf::scale_throughput(&perf::load_report(Path::new(path))?, factor);
-        perf::write_report(Path::new(out), &scaled)?;
-        println!("wrote {out}: throughput metrics of {path} scaled by {factor}");
-        return Ok(());
-    }
-
-    // Compare mode: gate a current report (given or freshly measured)
-    // against a baseline; a regression or determinism mismatch is an Err,
-    // so the process exits nonzero.
-    if let Some(baseline_path) = args.get("compare") {
-        let baseline = perf::load_report(Path::new(baseline_path))?;
-        let current = match args.get("current") {
-            Some(p) => perf::load_report(Path::new(p))?,
-            None => {
-                // Re-measure the baseline's workload at its own scale.
-                let cfg = perf::PerfConfig {
-                    seed: baseline.seed,
-                    tables: baseline.tables,
-                    warmup: baseline.warmup,
-                    iters: baseline.iters,
-                };
-                match baseline.workload.as_str() {
-                    "classify" => perf::run_classify(&cfg)?,
-                    "train" => perf::run_train(&cfg)?,
-                    "serve" => perf::run_serve(&cfg)?,
-                    other => return Err(format!("baseline has unknown workload '{other}'")),
-                }
-            }
-        };
-        let outcome = perf::compare(
-            &baseline,
-            &current,
-            args.f64_opt("tolerance")?,
-            args.get("deterministic-only").is_some(),
-        );
-        print!("{}", outcome.render_text());
-        if !outcome.passed() {
-            return Err(format!(
-                "bench compare failed: {} regression(s), {} mismatch(es)",
-                outcome.regressions.len(),
-                outcome.mismatches.len()
-            ));
-        }
-        return Ok(());
-    }
-
-    // Run mode: measure the requested workloads and write their reports.
-    let cfg = perf::PerfConfig {
-        seed: args.u64_or("seed", 2025)?,
-        tables: args.u64_or("tables", 240)? as usize,
-        warmup: args.u64_or("warmup", 1)? as usize,
-        iters: args.u64_or("iters", 3)? as usize,
-    };
-    let workload = args.get("workload").unwrap_or("all");
-    let out_dir = Path::new(args.get("out-dir").unwrap_or(".")).to_path_buf();
-    let mut reports = Vec::new();
-    if matches!(workload, "classify" | "all") {
-        reports.push(perf::run_classify(&cfg)?);
-    }
-    if matches!(workload, "train" | "all") {
-        reports.push(perf::run_train(&cfg)?);
-    }
-    if matches!(workload, "serve" | "all") {
-        reports.push(perf::run_serve(&cfg)?);
-    }
-    if reports.is_empty() {
-        return Err(format!("unknown --workload '{workload}' (classify|train|serve|all)"));
-    }
-    for report in &reports {
-        let path = out_dir.join(report.file_name());
-        perf::write_report(&path, report)?;
-        println!("{} ({} iters, seed {}):", path.display(), report.iters, report.seed);
-        for (key, value) in &report.measured {
-            println!("  {key}: {value:.1}");
-        }
-        if report.mem_tracked {
-            println!("  peak_mem_bytes: {}", report.peak_mem_bytes);
-        }
-    }
-    Ok(())
-}
-
 /// `tabmeta serve`: hardened concurrent classification server over the
 /// length-prefixed TCP wire protocol, with bounded-queue backpressure,
 /// per-request deadlines, and hot model reload from the artifact path.
@@ -711,23 +592,10 @@ const USAGE: &str = "usage:
   tabmeta stats    --corpus corpus.jsonl [--lossy]
   tabmeta reproduce [--artifact table1|…|table6|fig6|fig7|runtime|cmd] [--tables N] [--seed S]
   tabmeta lint     [--root DIR] [--json]
-  tabmeta bench    [--workload classify|train|serve|all] [--tables N] [--seed S]
-                   [--warmup N] [--iters N] [--out-dir DIR]
-  tabmeta bench    --compare baseline.json [--current run.json]
-                   [--tolerance F] [--deterministic-only]
-  tabmeta bench    --scale report.json --factor F --out scaled.json
   tabmeta serve    --model model.tma [--addr HOST:PORT] [--workers N] [--queue N]
                    [--deadline-ms MS] [--io-timeout-ms MS] [--max-frame-bytes N]
                    [--poll-ms MS] [--retry-after-ms MS] [--soak-secs S]
 
-  bench: seeded warmup-then-measured workloads writing schema-versioned
-  BENCH_classify.json / BENCH_train.json (tables/sec + latency quantiles,
-  SGNS pairs/sec, ingestion rows/sec, peak heap). --compare gates a run
-  against a baseline: throughput may not drop more than --tolerance
-  (default 0.2) and same-seed runs must agree on work counts; exits
-  nonzero on failure. --deterministic-only skips the noise-sensitive
-  throughput gate. Without --current the baseline's workload is
-  re-measured in-process.
   --lossy: quarantine malformed JSONL records (report on stderr) instead of
   aborting on the first bad line.
   --checkpoint-dir: write a durable checkpoint after every SGNS epoch,
@@ -775,7 +643,6 @@ fn main() -> ExitCode {
             "stats" => cmd_stats(&args),
             "reproduce" => cmd_reproduce(&args),
             "lint" => cmd_lint(&args),
-            "bench" => cmd_bench(&args),
             "serve" => cmd_serve(&args),
             other => Err(format!("unknown command '{other}'\n{USAGE}")),
         }
@@ -813,18 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_flags_parse() {
-        let a = Args::parse(&strs(&["--compare", "b.json", "--deterministic-only"])).unwrap();
-        assert_eq!(a.get("compare"), Some("b.json"));
-        assert!(a.get("deterministic-only").is_some());
-        assert_eq!(a.f64_opt("tolerance").unwrap(), None, "absent float is None");
-        let b = Args::parse(&strs(&["--factor", "1.5"])).unwrap();
-        assert_eq!(b.f64_opt("factor").unwrap(), Some(1.5));
-        let bad = Args::parse(&strs(&["--factor", "x"])).unwrap();
-        assert!(bad.f64_opt("factor").is_err());
-    }
-
-    #[test]
     fn bad_args_are_errors() {
         assert!(Args::parse(&strs(&["corpus"])).is_err(), "missing --");
         assert!(Args::parse(&strs(&["--seed"])).is_err(), "missing value");
@@ -835,11 +690,11 @@ mod tests {
 
     #[test]
     fn unknown_flag_rejected_with_suggestion() {
-        let a = Args::parse(&strs(&["--compare", "b.json", "--tolerence", "0.3"])).unwrap();
-        let err = check_known_flags("bench", &a).unwrap_err();
-        assert!(err.contains("unknown flag --tolerence for 'bench'"), "{err}");
-        assert!(err.contains("did you mean --tolerance?"), "{err}");
-        assert!(err.contains("--deterministic-only"), "lists valid flags: {err}");
+        let a = Args::parse(&strs(&["--model", "m.tma", "--deadline-sm", "50"])).unwrap();
+        let err = check_known_flags("serve", &a).unwrap_err();
+        assert!(err.contains("unknown flag --deadline-sm for 'serve'"), "{err}");
+        assert!(err.contains("did you mean --deadline-ms?"), "{err}");
+        assert!(err.contains("--retry-after-ms"), "lists valid flags: {err}");
     }
 
     #[test]
@@ -853,7 +708,7 @@ mod tests {
 
     #[test]
     fn known_flags_pass_validation_per_subcommand() {
-        let boolean = ["score", "lossy", "deterministic-only", "json", "stream"];
+        let boolean = ["score", "lossy", "json", "stream"];
         for (cmd, flags) in COMMAND_FLAGS {
             let raw: Vec<String> = flags
                 .iter()
@@ -868,8 +723,6 @@ mod tests {
             let a = Args::parse(&raw).unwrap();
             assert!(check_known_flags(cmd, &a).is_ok(), "all {cmd} flags accepted");
         }
-        // Unlisted commands (none today) and flag-free invocations pass.
-        assert!(check_known_flags("bench", &Args { pairs: Vec::new() }).is_ok());
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! | [`baselines`] | `tabmeta-baselines` | Pytheas, Random-Forest, layout detector, simulated LLM (+RAG) |
 //! | [`eval`] | `tabmeta-eval` | experiment harness regenerating every paper table and figure |
 //! | [`obs`] | `tabmeta-obs` | spans, metrics, trace timeline, and snapshot export for pipeline telemetry |
-//! | [`bench`] | `tabmeta-bench` | Criterion targets + the `BENCH_*.json` perf-trajectory harness |
 //! | [`serve`] | `tabmeta-serve` | hardened TCP classification server: backpressure, deadlines, hot reload |
 //! | [`hybrid`] | (this crate) | §IV-G hybrid router: cheap path for simple tables, pipeline for complex ones |
 //! | [`search`] | (this crate) | metadata-aware structural search over classified corpora |
@@ -45,7 +44,6 @@ pub mod hybrid;
 pub mod search;
 
 pub use tabmeta_baselines as baselines;
-pub use tabmeta_bench as bench;
 pub use tabmeta_core as contrastive;
 pub use tabmeta_corpora as corpora;
 pub use tabmeta_embed as embed;
