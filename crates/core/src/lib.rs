@@ -69,7 +69,7 @@ pub use finetune::{FinetuneConfig, FinetuneResume};
 pub use persist::{
     atomic_write, load_pipeline, run_fingerprint, save_pipeline, ArtifactError, StreamFingerprint,
 };
-pub use pipeline::{AnyEmbedder, Pipeline, TrainError, TrainSummary};
+pub use pipeline::{AnyEmbedder, Pipeline, TrainError, TrainSummary, MIN_TABLES_PER_WORKER};
 pub use stream::{
     train_streaming, SpillEvent, StreamBoundary, StreamHook, StreamSummary, StreamTrainOptions,
 };

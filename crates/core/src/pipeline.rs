@@ -207,6 +207,19 @@ impl std::fmt::Debug for ScratchPool {
     }
 }
 
+/// Fewest tables [`Pipeline::classify_corpus`] hands each worker thread.
+/// A batch too small to give every worker this many runs on fewer
+/// workers, down to one on the calling thread.
+// Two threads first beat one at 15 tables a worker on both CKG and the
+// six-kind mix (sweep in EXPERIMENTS.md, "Small batches on the calling thread").
+pub const MIN_TABLES_PER_WORKER: usize = 15;
+
+/// Worker count of a `classify_corpus` batch of `tables` tables on
+/// `threads` rayon threads.
+fn batch_workers(threads: usize, tables: usize) -> usize {
+    threads.min(tables / MIN_TABLES_PER_WORKER).max(1)
+}
+
 /// A trained classification pipeline.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -327,9 +340,13 @@ impl Pipeline {
     /// subset, or one served request — in parallel (the "scalable" in the
     /// title: per-table classification is embarrassingly parallel).
     ///
-    /// The batch splits into one contiguous chunk per rayon worker, each
+    /// The batch splits into one contiguous chunk per worker, each
     /// classified on one pooled warm scratch; verdicts come back in input
     /// order and are bit-identical to per-table [`Pipeline::classify`].
+    /// The worker count is the rayon thread count capped at
+    /// `tables.len() / MIN_TABLES_PER_WORKER`: a batch of fewer than
+    /// `2 * MIN_TABLES_PER_WORKER` tables is one chunk, classified on the
+    /// calling thread with no thread spawned.
     /// The call is timed by the `classify` span and sets the
     /// `classify.tables_per_sec` and `classify.interned_terms` gauges.
     ///
@@ -342,7 +359,7 @@ impl Pipeline {
             obs.gauge(names::CLASSIFY_TABLES_PER_SEC).set(0.0);
             return Vec::new();
         }
-        let workers = rayon::current_num_threads().min(tables.len());
+        let workers = batch_workers(rayon::current_num_threads(), tables.len());
         let chunks: Vec<&[T]> = tables.chunks(tables.len().div_ceil(workers)).collect();
         // Timed through the span registry so `classify.tables_per_sec`
         // and the `classify` span report the same wall-clock interval.
@@ -544,6 +561,18 @@ mod tests {
         }
         let acc = correct as f32 / total as f32;
         assert!(acc > 0.8, "HMD1 accuracy too low: {acc}");
+    }
+
+    #[test]
+    fn small_batches_run_on_one_worker() {
+        const C: usize = MIN_TABLES_PER_WORKER;
+        let sizes = [0, 1, C - 1, C, 2 * C - 1, 2 * C, 600];
+        for (threads, want) in
+            [(1, [1, 1, 1, 1, 1, 1, 1]), (2, [1, 1, 1, 1, 1, 2, 2]), (4, [1, 1, 1, 1, 1, 2, 4])]
+        {
+            let got = sizes.map(|n| batch_workers(threads, n));
+            assert_eq!(got, want, "{threads} threads over batches of {sizes:?}");
+        }
     }
 
     #[test]

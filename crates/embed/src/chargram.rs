@@ -15,10 +15,12 @@
 
 use crate::embedder::{check_matrix_finite, IntegrityFault, TermEmbedder, TunableEmbedder};
 use crate::negative::NegativeTable;
-use crate::sgns::{EpochSink, SgnsConfig, SgnsResume, SigmoidTable, TrainReport};
+use crate::sgns::{
+    context_positions, EpochSink, SgnsConfig, SgnsResume, SigmoidTable, TrainReport,
+};
 use crate::word2vec::VocabBuilder;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tabmeta_linalg::Matrix;
@@ -180,13 +182,7 @@ impl CharGram {
                 st.processed += 1;
                 st.lr = config.learning_rate
                     * (1.0 - st.processed as f32 / total_work as f32).max(1e-4);
-                let reduced = rng.random_range(1..=config.window);
-                let lo = pos.saturating_sub(reduced);
-                let hi = (pos + reduced).min(sentence.len() - 1);
-                for ctx_pos in lo..=hi {
-                    if ctx_pos == pos {
-                        continue;
-                    }
+                for ctx_pos in context_positions(&mut rng, config.window, pos, sentence.len()) {
                     st.pairs += 1;
                     let context = sentence[ctx_pos];
                     self.compose_into(center, &mut v_in);
@@ -315,13 +311,9 @@ impl CharGram {
                             processed += 1;
                             lr = config.learning_rate
                                 * (1.0 - processed as f32 / total_work as f32).max(1e-4);
-                            let reduced = rng.random_range(1..=config.window);
-                            let lo = pos.saturating_sub(reduced);
-                            let hi = (pos + reduced).min(sentence.len() - 1);
-                            for ctx_pos in lo..=hi {
-                                if ctx_pos == pos {
-                                    continue;
-                                }
+                            for ctx_pos in
+                                context_positions(&mut rng, config.window, pos, sentence.len())
+                            {
                                 pairs += 1;
                                 let context = sentence[ctx_pos] as usize;
                                 // Compose: mean of word vector and grams.

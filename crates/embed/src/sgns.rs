@@ -169,6 +169,23 @@ impl SgnsResume {
 /// simulate dying right after a checkpoint write).
 pub type EpochSink<'s, M> = &'s mut dyn FnMut(&M, &SgnsResume) -> std::ops::ControlFlow<()>;
 
+/// The context positions of the center at `pos` in a sentence of `len`
+/// tokens, under word2vec's dynamic window: one radius drawn from
+/// `1..=window` per center, then every position within it but `pos`,
+/// in order. The draw happens before the first position is yielded, so
+/// the caller may sample negatives from `rng` between positions.
+pub(crate) fn context_positions(
+    rng: &mut StdRng,
+    window: usize,
+    pos: usize,
+    len: usize,
+) -> impl Iterator<Item = usize> {
+    let reduced = rng.random_range(1..=window);
+    let lo = pos.saturating_sub(reduced);
+    let hi = (pos + reduced).min(len - 1);
+    (lo..=hi).filter(move |&ctx_pos| ctx_pos != pos)
+}
+
 /// The mutable state of one SGNS run over id-encoded sentences.
 pub struct SgnsTrainer<'a> {
     config: &'a SgnsConfig,
@@ -299,14 +316,9 @@ impl<'a> SgnsTrainer<'a> {
                 // Linear decay with the standard floor.
                 self.lr = self.config.learning_rate
                     * (1.0 - self.processed as f32 / total_work as f32).max(1e-4);
-                // Dynamic window shrink, as in word2vec.
-                let reduced = self.rng.random_range(1..=self.config.window);
-                let lo = pos.saturating_sub(reduced);
-                let hi = (pos + reduced).min(sentence.len() - 1);
-                for ctx_pos in lo..=hi {
-                    if ctx_pos == pos {
-                        continue;
-                    }
+                for ctx_pos in
+                    context_positions(&mut self.rng, self.config.window, pos, sentence.len())
+                {
                     let context = sentence[ctx_pos];
                     self.pairs += 1;
                     let lr = self.lr;
@@ -396,13 +408,9 @@ impl<'a> SgnsTrainer<'a> {
                             processed += 1;
                             lr = config.learning_rate
                                 * (1.0 - processed as f32 / total_work as f32).max(1e-4);
-                            let reduced = rng.random_range(1..=config.window);
-                            let lo = pos.saturating_sub(reduced);
-                            let hi = (pos + reduced).min(sentence.len() - 1);
-                            for ctx_pos in lo..=hi {
-                                if ctx_pos == pos {
-                                    continue;
-                                }
+                            for ctx_pos in
+                                context_positions(&mut rng, config.window, pos, sentence.len())
+                            {
                                 let context = sentence[ctx_pos] as usize;
                                 pairs += 1;
                                 grad.fill(0.0);

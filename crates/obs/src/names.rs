@@ -181,6 +181,16 @@ pub const CLASSIFIER_BOUNDARY_DEPTH: &str = "classifier.boundary_depth";
 /// Serve request latency (admission to response ready), permit wait
 /// included; p50/p90/p99 come from the histogram quantiles.
 pub const SERVE_REQUEST_MICROS: &str = "serve.request_micros";
+/// Serve stage: request decode (`parse_payload`) of each received frame.
+pub const SERVE_REQUEST_DECODE_MICROS: &str = "serve.request_decode_micros";
+/// Serve stage: wait for a classify permit, per admitted request.
+pub const SERVE_PERMIT_WAIT_MICROS: &str = "serve.permit_wait_micros";
+/// Serve stage: classification, per request that got a permit.
+pub const SERVE_CLASSIFY_MICROS: &str = "serve.classify_micros";
+/// Serve stage: response encode, per response to a decoded frame.
+pub const SERVE_RESPONSE_ENCODE_MICROS: &str = "serve.response_encode_micros";
+/// Serve stage: response frame write to the socket, per response sent.
+pub const SERVE_RESPONSE_WRITE_MICROS: &str = "serve.response_write_micros";
 
 /// The instrument kind a registered name belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -744,6 +754,46 @@ pub static REGISTRY: &[MetricDef] = &[
         unit: "µs",
         stage: "serve",
         doc: "Request latency from admission to response ready, permit wait included",
+    },
+    MetricDef {
+        name: SERVE_REQUEST_DECODE_MICROS,
+        suffix: "",
+        kind: Kind::Histogram,
+        unit: "µs",
+        stage: "serve",
+        doc: "Request decode (parse_payload) of each received frame, malformed ones included",
+    },
+    MetricDef {
+        name: SERVE_PERMIT_WAIT_MICROS,
+        suffix: "",
+        kind: Kind::Histogram,
+        unit: "µs",
+        stage: "serve",
+        doc: "Wait for a classify permit per admitted request, deadline expiries included",
+    },
+    MetricDef {
+        name: SERVE_CLASSIFY_MICROS,
+        suffix: "",
+        kind: Kind::Histogram,
+        unit: "µs",
+        stage: "serve",
+        doc: "Classification of each request that got a permit, response built",
+    },
+    MetricDef {
+        name: SERVE_RESPONSE_ENCODE_MICROS,
+        suffix: "",
+        kind: Kind::Histogram,
+        unit: "µs",
+        stage: "serve",
+        doc: "Response JSON encode for each answered frame, rejections included",
+    },
+    MetricDef {
+        name: SERVE_RESPONSE_WRITE_MICROS,
+        suffix: "",
+        kind: Kind::Histogram,
+        unit: "µs",
+        stage: "serve",
+        doc: "Response frame write to the socket for each answered frame that was sent",
     },
 ];
 

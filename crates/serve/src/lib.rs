@@ -93,6 +93,10 @@ mod tests {
     fn end_to_end_verdicts_match_offline() {
         let (pipeline, tables) = train(41);
         let offline: Vec<_> = tables[..4].iter().map(|t| pipeline.classify(t)).collect();
+        // Large enough for classify_corpus to split it across workers.
+        let split: Vec<Table> =
+            tables.iter().cycle().take(2 * tabmeta_core::MIN_TABLES_PER_WORKER).cloned().collect();
+        let offline_split: Vec<_> = split.iter().map(|t| pipeline.classify(t)).collect();
         let fingerprint = 0xfeed_beef;
         let server = Server::start(
             ServingModel { pipeline, fingerprint },
@@ -109,6 +113,9 @@ mod tests {
         assert_eq!(response.id, 9);
         assert_eq!(response.model_fingerprint, format!("{fingerprint:016x}"));
         assert_eq!(response.verdicts, offline);
+        let response = client.call(&Request { id: 19, tables: split }).unwrap();
+        assert_eq!(response.parsed_status(), Some(Status::Ok));
+        assert_eq!(response.verdicts, offline_split);
 
         // Malformed JSON in a well-framed payload → typed bad_request,
         // connection stays usable.
@@ -147,7 +154,7 @@ mod tests {
 
         let stats = server.shutdown().unwrap();
         assert!(stats.admissions_conserved(), "{stats:?}");
-        assert_eq!(stats.ok, 4);
+        assert_eq!(stats.ok, 5);
         assert_eq!(stats.bad_request, 3);
     }
 

@@ -13,7 +13,11 @@
 //!   `workers` classify permits (typed `deadline_exceeded` on timeout),
 //!   classifies through the shared [`Pipeline`]'s batch call
 //!   ([`Pipeline::classify_corpus`], which times the request under its
-//!   one `classify` span), releases the permit, and writes the reply;
+//!   one `classify` span and runs a request of fewer than
+//!   2 × [`tabmeta_core::MIN_TABLES_PER_WORKER`] tables on this thread),
+//!   releases the permit, and writes the reply. Each stage it reaches —
+//!   request decode, permit wait, classify, response encode, socket
+//!   write — is recorded in its `serve.*_micros` histogram;
 //! * an optional **watcher** polls the model path and atomically swaps
 //!   the model `Arc` when a changed artifact passes deep validation —
 //!   in-flight requests finish on the model they started with, and a
@@ -29,7 +33,8 @@
 //! dropped.
 
 use crate::protocol::{
-    self, parse_payload, read_frame, write_message, Request, Response, Status, WireError,
+    self, parse_payload, read_frame, write_frame, write_message, Request, Response, Status,
+    WireError,
 };
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -152,6 +157,11 @@ struct Instruments {
     queue_depth: Arc<tabmeta_obs::Gauge>,
     in_flight: Arc<tabmeta_obs::Gauge>,
     request_micros: Arc<tabmeta_obs::Histogram>,
+    request_decode_micros: Arc<tabmeta_obs::Histogram>,
+    permit_wait_micros: Arc<tabmeta_obs::Histogram>,
+    classify_micros: Arc<tabmeta_obs::Histogram>,
+    response_encode_micros: Arc<tabmeta_obs::Histogram>,
+    response_write_micros: Arc<tabmeta_obs::Histogram>,
 }
 
 impl Instruments {
@@ -164,6 +174,11 @@ impl Instruments {
             queue_depth: obs.gauge(names::SERVE_QUEUE_DEPTH),
             in_flight: obs.gauge(names::SERVE_IN_FLIGHT),
             request_micros: obs.histogram(names::SERVE_REQUEST_MICROS),
+            request_decode_micros: obs.histogram(names::SERVE_REQUEST_DECODE_MICROS),
+            permit_wait_micros: obs.histogram(names::SERVE_PERMIT_WAIT_MICROS),
+            classify_micros: obs.histogram(names::SERVE_CLASSIFY_MICROS),
+            response_encode_micros: obs.histogram(names::SERVE_RESPONSE_ENCODE_MICROS),
+            response_write_micros: obs.histogram(names::SERVE_RESPONSE_WRITE_MICROS),
         }
     }
 }
@@ -234,12 +249,14 @@ impl Shared {
         self.instruments.requests.inc();
 
         let deadline = Duration::from_millis(self.config.deadline_ms);
+        let wait_micros = clock::monotonic_micros();
         let (mut free, timed_out) =
             self.permits.lock().wait_timeout_while(&self.permit_freed, deadline, |f| *f == 0);
         if !timed_out {
             *free -= 1;
         }
         drop(free);
+        self.instruments.permit_wait_micros.record(micros_since(wait_micros));
         let depth = self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
         self.instruments.queue_depth.set(depth as f64);
 
@@ -255,16 +272,16 @@ impl Shared {
         } else {
             let in_flight = self.stats.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
             self.instruments.in_flight.set(in_flight as f64);
+            let classify_micros = clock::monotonic_micros();
             let response = self.classify(&request);
+            self.instruments.classify_micros.record(micros_since(classify_micros));
             *self.permits.lock() += 1;
             self.permit_freed.notify_one();
             let in_flight = self.stats.in_flight.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
             self.instruments.in_flight.set(in_flight as f64);
             response
         };
-        self.instruments
-            .request_micros
-            .record(clock::monotonic_micros().saturating_sub(admitted_micros));
+        self.instruments.request_micros.record(micros_since(admitted_micros));
         response
     }
 
@@ -391,7 +408,11 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
                 return;
             }
         };
-        let response = match parse_payload::<Request>(&payload) {
+        let instruments = &shared.instruments;
+        let decode_micros = clock::monotonic_micros();
+        let request = parse_payload::<Request>(&payload);
+        instruments.request_decode_micros.record(micros_since(decode_micros));
+        let response = match request {
             Err(e) => {
                 shared.stats.bad_request.fetch_add(1, Ordering::Relaxed);
                 count_rejected(Status::BadRequest.as_str());
@@ -399,12 +420,25 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
             }
             Ok(request) => shared.serve(request),
         };
-        if write_message(&mut stream, &response).is_err() {
+        // Encoded and framed here rather than by `write_message`, so the
+        // two stages are timed apart.
+        let encode_micros = clock::monotonic_micros();
+        let encoded = serde_json::to_string(&response);
+        let write_micros = clock::monotonic_micros();
+        if !encoded.is_ok_and(|json| write_frame(&mut stream, json.as_bytes()).is_ok()) {
             shared.stats.wire_io.fetch_add(1, Ordering::Relaxed);
             count_rejected("io");
             return;
         }
+        instruments.response_encode_micros.record(write_micros.saturating_sub(encode_micros));
+        instruments.response_write_micros.record(micros_since(write_micros));
     }
+}
+
+/// Microseconds elapsed since the `clock::monotonic_micros` reading
+/// `start`.
+fn micros_since(start: u64) -> u64 {
+    clock::monotonic_micros().saturating_sub(start)
 }
 
 fn watcher_loop(shared: &Shared, path: PathBuf) {

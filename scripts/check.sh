@@ -90,6 +90,19 @@ if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
   exit 1
 fi
 
+# Bulk benchmark smoke: the untraced classify_bulk run is the only place
+# that checks 600-table batches, which classify_corpus splits across
+# workers, against single-table verdicts (classify.batch_equals_single),
+# same-seed set-ups against each other (classify.setups_agree), and the
+# held-out HMD1/VMD1 accuracy floors.
+echo "==> perfbench classify_bulk smoke"
+PERF_LAST="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload classify_bulk --seed 3 --seconds 2 --trace 0 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
+  echo "perfbench classify_bulk smoke failed: $PERF_LAST" >&2
+  exit 1
+fi
+
 # Shard-chaos gate (tests/shard_chaos.rs): out-of-core streaming training
 # under fire. Kills at *every* boundary the run exposes (vocab shard,
 # encode shard, SGNS epoch, centroid shard) must resume byte-identical to

@@ -13,11 +13,14 @@
 //!
 //! `scripts/check.sh` runs this suite at `RAYON_NUM_THREADS=1` and `=4`,
 //! so both the sequential and the chunked multi-worker variants of the
-//! cached path are covered.
+//! cached path are covered. The pool is also classified in batches on
+//! both sides of the split cutoff ([`MIN_TABLES_PER_WORKER`]), so a batch
+//! classified on the calling thread and one split across workers are
+//! each held to the same reference.
 //!
 //! [`ClassifyScratch`]: tabmeta::contrastive::ClassifyScratch
 
-use tabmeta::contrastive::{Pipeline, PipelineConfig};
+use tabmeta::contrastive::{Pipeline, PipelineConfig, MIN_TABLES_PER_WORKER};
 use tabmeta::corpora::{CorpusKind, GeneratorConfig};
 use tabmeta::resilience::{FaultInjector, FaultPlan};
 use tabmeta::tabular::{Cell, Corpus, Table};
@@ -77,11 +80,25 @@ fn cached_classify_is_bit_identical_over_degraded_pool() {
     // versus one cold-scratch per-table classify each. The pooled
     // `classify` would reuse the scratch the batch just warmed, so it is
     // no independent reference.
-    let batched = pipeline.classify_corpus(&tables);
-    assert_eq!(batched.len(), tables.len());
-    for (i, (table, cached)) in tables.iter().zip(&batched).enumerate() {
-        let fresh = pipeline.classify_with_scratch(table, &mut pipeline.classify_scratch());
-        assert_eq!(*cached, fresh, "verdict diverged on table {i} (id {})", table.id);
+    let fresh: Vec<_> = tables
+        .iter()
+        .map(|t| pipeline.classify_with_scratch(t, &mut pipeline.classify_scratch()))
+        .collect();
+    // The whole pool in one call, then batches on both sides of the
+    // cutoff: below 2C tables a batch is one chunk on the calling thread;
+    // from 2C it splits (at > 1 thread).
+    const C: usize = MIN_TABLES_PER_WORKER;
+    for size in [tables.len(), 1, C - 1, C, 2 * C - 1, 2 * C, 4 * C + 1] {
+        let batched: Vec<_> =
+            tables.chunks(size).flat_map(|batch| pipeline.classify_corpus(batch)).collect();
+        assert_eq!(batched.len(), tables.len());
+        for (i, (table, cached)) in tables.iter().zip(&batched).enumerate() {
+            assert_eq!(
+                *cached, fresh[i],
+                "batch size {size}: verdict diverged on table {i} (id {})",
+                table.id
+            );
+        }
     }
 
     // Trace path: one scratch reused across the whole pool, in order,
