@@ -10,18 +10,14 @@
 //! terms compose from grams alone, so `"thrombocytopenia"` lands near its
 //! morphological relatives even if unseen. See DESIGN.md §2 for the full
 //! substitution argument.
-// Grid construction walks coordinates; index loops are the clear form here.
-#![allow(clippy::needless_range_loop)]
 
 use crate::embedder::{check_matrix_finite, IntegrityFault, TermEmbedder, TunableEmbedder};
-use crate::negative::NegativeTable;
 use crate::sgns::{
-    context_positions, EpochSink, SgnsConfig, SgnsResume, SigmoidTable, TrainReport,
+    self, EpochSink, InputSide, Rows, SgnsConfig, SgnsModel, SgnsResume, SgnsRun, TrainReport,
 };
 use crate::word2vec::VocabBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tabmeta_linalg::Matrix;
 use tabmeta_text::{ngram_ids, NgramConfig, Vocabulary};
@@ -70,8 +66,8 @@ impl CharGram {
     /// [`CharGram::train`] with checkpoint/resume plumbing; same contract
     /// as [`crate::word2vec::Word2Vec::train_resumable`]: vocabulary,
     /// encoding, and gram cache are recomputed, `resume` restores weights
-    /// plus loop state from an epoch boundary, `sink` observes every
-    /// sequential epoch (stage end only under Hogwild) and may break out.
+    /// plus loop state from an epoch boundary, `sink` observes every epoch
+    /// of the epoch loop (stage end only under Hogwild) and may break out.
     pub fn train_resumable(
         sentences: &[Vec<String>],
         config: CharGramConfig,
@@ -93,124 +89,32 @@ impl CharGram {
         encoded: &[Vec<u32>],
         config: CharGramConfig,
         resume: Option<(Self, SgnsResume)>,
-        mut sink: Option<EpochSink<'_, Self>>,
+        sink: Option<EpochSink<'_, Self>>,
     ) -> (Self, TrainReport, bool) {
-        let (mut model, mut state) = match resume {
-            Some((model, state)) => (model, state),
-            None => {
-                let word_grams: Vec<Vec<u32>> = (0..vocab.len())
-                    .map(|id| {
-                        ngram_ids(vocab.term(id as u32), &config.ngrams)
-                            .into_iter()
-                            .map(|g| g as u32)
-                            .collect()
-                    })
-                    .collect();
-                let mut rng = StdRng::seed_from_u64(config.sgns.seed ^ 0xcafe);
-                let dim = config.sgns.dim;
-                let state = SgnsResume::fresh(&config.sgns);
-                let model = CharGram {
-                    words: Matrix::uniform_init(vocab.len(), dim, &mut rng),
-                    grams: Matrix::uniform_init(config.ngrams.buckets, dim, &mut rng),
-                    output: Matrix::zeros(vocab.len(), dim),
-                    word_grams,
-                    vocab,
-                    config,
-                };
-                (model, state)
-            }
-        };
-
-        if encoded.is_empty() || model.vocab.total_count() == 0 {
-            return (model, TrainReport { pairs: state.pairs, final_lr: state.lr }, false);
-        }
-        let negatives =
-            NegativeTable::build(&model.vocab, NegativeTable::DEFAULT_SIZE.min(1 << 18));
-
-        if model.config.sgns.threads > 1 && state.epochs_done == 0 {
-            // Hogwild runs the stage whole; the sink sees only the end.
-            let report = model.run_sgns_hogwild(encoded, &negatives);
-            let mut interrupted = false;
-            if let Some(sink) = sink.as_mut() {
-                let end = SgnsResume {
-                    epochs_done: model.config.sgns.epochs,
-                    pairs: report.pairs,
-                    lr: report.final_lr,
-                    ..SgnsResume::fresh(&model.config.sgns)
-                };
-                interrupted = sink(&model, &end).is_break();
-            }
-            return (model, report, interrupted);
-        }
-
-        let epochs = model.config.sgns.epochs;
-        let mut interrupted = false;
-        while state.epochs_done < epochs {
-            model.run_sgns_epoch(encoded, &negatives, &mut state);
-            if let Some(sink) = sink.as_mut() {
-                if sink(&model, &state).is_break() {
-                    interrupted = true;
-                    break;
-                }
-            }
-        }
-        let report = TrainReport { pairs: state.pairs, final_lr: state.lr };
-        (model, report, interrupted)
+        sgns::train_resumable(encoded, resume, || Self::fresh(vocab, config), sink)
     }
 
-    /// One sequential epoch of SGNS over composed (word + grams) input
-    /// vectors, advancing `st` (RNG stream, decay, counters) in place.
-    /// An empty sentence set still advances the epoch counter so
-    /// zero-work runs terminate.
-    fn run_sgns_epoch(
-        &mut self,
-        sentences: &[Vec<u32>],
-        negatives: &NegativeTable,
-        st: &mut SgnsResume,
-    ) {
-        let config = self.config.sgns.clone();
-        let dim = config.dim;
-        let sigmoid = SigmoidTable::new();
-        let mut rng = StdRng::from_state(st.rng);
-        let total_tokens: u64 = sentences.iter().map(|s| s.len() as u64).sum();
-        let total_work = (total_tokens * config.epochs as u64).max(1);
-        let mut v_in = vec![0.0f32; dim];
-        let mut grad = vec![0.0f32; dim];
-
-        for sentence in sentences {
-            for (pos, &center) in sentence.iter().enumerate() {
-                st.processed += 1;
-                st.lr = config.learning_rate
-                    * (1.0 - st.processed as f32 / total_work as f32).max(1e-4);
-                for ctx_pos in context_positions(&mut rng, config.window, pos, sentence.len()) {
-                    st.pairs += 1;
-                    let context = sentence[ctx_pos];
-                    self.compose_into(center, &mut v_in);
-                    grad.fill(0.0);
-                    // Positive.
-                    {
-                        let v_out = self.output.row_mut(context as usize);
-                        let g = (1.0 - sigmoid.get(tabmeta_linalg::dot(&v_in, v_out))) * st.lr;
-                        tabmeta_linalg::axpy(g, v_out, &mut grad);
-                        tabmeta_linalg::axpy(g, &v_in, v_out);
-                    }
-                    // Negatives.
-                    for _ in 0..config.negative {
-                        let neg = negatives.sample(&mut rng);
-                        if neg == context {
-                            continue;
-                        }
-                        let v_out = self.output.row_mut(neg as usize);
-                        let g = (0.0 - sigmoid.get(tabmeta_linalg::dot(&v_in, v_out))) * st.lr;
-                        tabmeta_linalg::axpy(g, v_out, &mut grad);
-                        tabmeta_linalg::axpy(g, &v_in, v_out);
-                    }
-                    self.spread_gradient(center, &grad);
-                }
-            }
+    /// An untrained model over `vocab`: the gram cache, seeded uniform word
+    /// and gram rows, zero output rows.
+    pub(crate) fn fresh(vocab: Vocabulary, config: CharGramConfig) -> Self {
+        let word_grams: Vec<Vec<u32>> = (0..vocab.len())
+            .map(|id| {
+                ngram_ids(vocab.term(id as u32), &config.ngrams)
+                    .into_iter()
+                    .map(|g| g as u32)
+                    .collect()
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(config.sgns.seed ^ 0xcafe);
+        let dim = config.sgns.dim;
+        CharGram {
+            words: Matrix::uniform_init(vocab.len(), dim, &mut rng),
+            grams: Matrix::uniform_init(config.ngrams.buckets, dim, &mut rng),
+            output: Matrix::zeros(vocab.len(), dim),
+            word_grams,
+            vocab,
+            config,
         }
-        st.rng = rng.state();
-        st.epochs_done += 1;
     }
 
     /// Deep validation for deserialized models: matrix shapes must agree
@@ -271,121 +175,6 @@ impl CharGram {
         check_matrix_finite(&self.output, "chargram.output")
     }
 
-    /// Hogwild variant of [`Self::run_sgns`]: sentence shards train
-    /// concurrently, sharing the word / gram / output matrices through
-    /// relaxed-atomic views. Composition (`compose_into`) and gradient
-    /// spreading (`spread_gradient`) are inlined against the views since
-    /// both need only shared access. Same trade-off as the word-level
-    /// Hogwild path: racing updates may drop a write, never corrupt one.
-    fn run_sgns_hogwild(
-        &mut self,
-        sentences: &[Vec<u32>],
-        negatives: &NegativeTable,
-    ) -> TrainReport {
-        let config = self.config.sgns.clone();
-        let dim = config.dim;
-        let sigmoid = SigmoidTable::new();
-        let chunk = sentences.len().div_ceil(config.threads).max(1);
-        let shards: Vec<(u64, &[Vec<u32>])> =
-            sentences.chunks(chunk).enumerate().map(|(w, s)| (w as u64, s)).collect();
-        let Self { words, grams, output, word_grams, .. } = self;
-        let words_view = words.hogwild();
-        let grams_view = grams.hogwild();
-        let out_view = output.hogwild();
-        let word_grams: &[Vec<u32>] = word_grams;
-        let reports: Vec<TrainReport> = shards
-            .par_iter()
-            .map(|&(worker, shard)| {
-                let mut rng = StdRng::seed_from_u64(config.seed ^ worker);
-                let shard_tokens: u64 = shard.iter().map(|s| s.len() as u64).sum();
-                let total_work = (shard_tokens * config.epochs as u64).max(1);
-                let mut processed = 0u64;
-                let mut pairs = 0u64;
-                let mut lr = config.learning_rate;
-                let mut v_in = vec![0.0f32; dim];
-                let mut v_out = vec![0.0f32; dim];
-                let mut grad = vec![0.0f32; dim];
-                for _epoch in 0..config.epochs {
-                    for sentence in shard {
-                        for (pos, &center) in sentence.iter().enumerate() {
-                            processed += 1;
-                            lr = config.learning_rate
-                                * (1.0 - processed as f32 / total_work as f32).max(1e-4);
-                            for ctx_pos in
-                                context_positions(&mut rng, config.window, pos, sentence.len())
-                            {
-                                pairs += 1;
-                                let context = sentence[ctx_pos] as usize;
-                                // Compose: mean of word vector and grams.
-                                let cg = &word_grams[center as usize];
-                                words_view.read_row(center as usize, &mut v_in);
-                                for &g in cg {
-                                    grams_view.accumulate_row(g as usize, &mut v_in);
-                                }
-                                let share = 1.0 / (1 + cg.len()) as f32;
-                                tabmeta_linalg::scale(&mut v_in, share);
-                                grad.fill(0.0);
-                                // Positive.
-                                out_view.read_row(context, &mut v_out);
-                                let g =
-                                    (1.0 - sigmoid.get(tabmeta_linalg::dot(&v_in, &v_out))) * lr;
-                                tabmeta_linalg::axpy(g, &v_out, &mut grad);
-                                out_view.update_row(context, g, &v_in);
-                                // Negatives.
-                                for _ in 0..config.negative {
-                                    let neg = negatives.sample(&mut rng) as usize;
-                                    if neg == context {
-                                        continue;
-                                    }
-                                    out_view.read_row(neg, &mut v_out);
-                                    let g = (0.0 - sigmoid.get(tabmeta_linalg::dot(&v_in, &v_out)))
-                                        * lr;
-                                    tabmeta_linalg::axpy(g, &v_out, &mut grad);
-                                    out_view.update_row(neg, g, &v_in);
-                                }
-                                // Spread: each constituent gets grad/(1+n).
-                                tabmeta_linalg::scale(&mut grad, share);
-                                words_view.update_row(center as usize, 1.0, &grad);
-                                for &g in cg {
-                                    grams_view.update_row(g as usize, 1.0, &grad);
-                                }
-                            }
-                        }
-                    }
-                }
-                TrainReport { pairs, final_lr: lr }
-            })
-            .collect();
-        let pairs = reports.iter().map(|r| r.pairs).sum();
-        let final_lr = reports.iter().map(|r| r.final_lr).fold(config.learning_rate, f32::min);
-        TrainReport { pairs, final_lr }
-    }
-
-    /// Compose the input vector of a vocabulary word: mean of word vector
-    /// and its gram vectors.
-    fn compose_into(&self, word: u32, out: &mut [f32]) {
-        out.copy_from_slice(self.words.row(word as usize));
-        let grams = &self.word_grams[word as usize];
-        for &g in grams {
-            tabmeta_linalg::add_assign(out, self.grams.row(g as usize));
-        }
-        tabmeta_linalg::scale(out, 1.0 / (1 + grams.len()) as f32);
-    }
-
-    /// Distribute a gradient across a word's constituents (mean composition
-    /// ⇒ each constituent receives `grad / (1+n)`).
-    fn spread_gradient(&mut self, word: u32, grad: &[f32]) {
-        let grams = std::mem::take(&mut self.word_grams[word as usize]);
-        let share = 1.0 / (1 + grams.len()) as f32;
-        let mut scaled = grad.to_vec();
-        tabmeta_linalg::scale(&mut scaled, share);
-        tabmeta_linalg::add_assign(self.words.row_mut(word as usize), &scaled);
-        for &g in &grams {
-            tabmeta_linalg::add_assign(self.grams.row_mut(g as usize), &scaled);
-        }
-        self.word_grams[word as usize] = grams;
-    }
-
     /// The model's vocabulary.
     pub fn vocab(&self) -> &Vocabulary {
         &self.vocab
@@ -415,7 +204,7 @@ impl TermEmbedder for CharGram {
     fn accumulate(&self, term: &str, out: &mut [f32]) -> bool {
         if let Some(id) = self.vocab.id(term) {
             let mut v = vec![0.0; self.dim()];
-            self.compose_into(id, &mut v);
+            compose_into(&self.words, &self.grams, &self.word_grams, id as usize, &mut v);
             tabmeta_linalg::add_assign(out, &v);
             return true;
         }
@@ -448,11 +237,101 @@ impl TermEmbedder for CharGram {
 impl TunableEmbedder for CharGram {
     fn apply_gradient(&mut self, term: &str, grad: &[f32]) {
         if let Some(id) = self.vocab.id(term) {
-            self.spread_gradient(id, grad);
+            let mut grad = grad.to_vec();
+            spread_gradient(
+                &mut self.words,
+                &mut self.grams,
+                &self.word_grams,
+                id as usize,
+                &mut grad,
+            );
         }
         // OOV terms have no trainable word slot; grams alone could be
         // nudged, but tuning unseen terms risks corrupting shared buckets,
         // so fine-tuning is restricted to vocabulary terms.
+    }
+}
+
+impl SgnsModel for CharGram {
+    fn sgns_config(&self) -> &SgnsConfig {
+        &self.config.sgns
+    }
+
+    fn vocab(&self) -> &Vocabulary {
+        &self.vocab
+    }
+
+    fn epoch(&mut self, run: &SgnsRun, sentences: &[Vec<u32>], st: &mut SgnsResume) {
+        let mut input = Subwords {
+            words: &mut self.words,
+            grams: &mut self.grams,
+            word_grams: &self.word_grams,
+        };
+        run.epoch(sentences, &mut input, &mut self.output, st);
+    }
+
+    fn hogwild(&mut self, run: &SgnsRun, sentences: &[Vec<u32>]) -> TrainReport {
+        let input = Subwords {
+            words: self.words.hogwild(),
+            grams: self.grams.hogwild(),
+            word_grams: &self.word_grams,
+        };
+        run.hogwild(sentences, input, self.output.hogwild())
+    }
+}
+
+/// CharGram's input side over row storage `R`: a word's input vector is
+/// the mean of its word row and its gram rows.
+#[derive(Clone, Copy)]
+struct Subwords<'g, R> {
+    words: R,
+    grams: R,
+    word_grams: &'g [Vec<u32>],
+}
+
+impl<R: Rows> InputSide for Subwords<'_, R> {
+    fn compose<'s>(&'s self, word: usize, scratch: &'s mut [f32]) -> &'s [f32] {
+        compose_into(&self.words, &self.grams, self.word_grams, word, scratch);
+        scratch
+    }
+
+    fn spread(&mut self, word: usize, grad: &mut [f32]) {
+        spread_gradient(&mut self.words, &mut self.grams, self.word_grams, word, grad);
+    }
+}
+
+/// Compose the input vector of vocabulary word `word` into `out`: the mean
+/// of its word row and its gram rows.
+fn compose_into<R: Rows>(
+    words: &R,
+    grams: &R,
+    word_grams: &[Vec<u32>],
+    word: usize,
+    out: &mut [f32],
+) {
+    let word_grams = &word_grams[word];
+    words.read(word, out);
+    for &g in word_grams {
+        grams.add_to(g as usize, out);
+    }
+    tabmeta_linalg::scale(out, 1.0 / (1 + word_grams.len()) as f32);
+}
+
+/// Distribute a gradient on `word`'s input vector across its constituents:
+/// mean composition gives each row `grad / (1 + n)`. Scales `grad` in
+/// place.
+fn spread_gradient<R: Rows>(
+    words: &mut R,
+    grams: &mut R,
+    word_grams: &[Vec<u32>],
+    word: usize,
+    grad: &mut [f32],
+) {
+    let word_grams = &word_grams[word];
+    tabmeta_linalg::scale(grad, 1.0 / (1 + word_grams.len()) as f32);
+    words.add(word, grad);
+    for &g in word_grams {
+        grams.add(g as usize, grad);
     }
 }
 

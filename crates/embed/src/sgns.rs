@@ -1,40 +1,59 @@
-//! Skip-gram-with-negative-sampling training core, shared by both
+//! Skip-gram-with-negative-sampling training, written once for both
 //! embedding models.
 //!
-//! Given sentences of term ids, one training step takes a `(center,
-//! context)` pair plus `k` negatives and performs the classic SGD update
-//! on the input/output matrices:
+//! Given sentences of term ids, one pair update takes a `(center,
+//! context)` pair plus `k` negatives and performs the classic SGD update:
 //!
 //! ```text
 //!   g = (label − σ(v_in · v_out)) · lr
 //!   v_out += g · v_in;   accumulated_grad += g · v_out_old
 //! ```
 //!
+//! then hands the accumulated gradient back to the center's input side.
 //! The sigmoid is looked up from a precomputed table (word2vec's standard
 //! trick); the learning rate decays linearly over the full training run.
 //!
+//! Word2Vec and CharGram share one pair update, one epoch loop around it
+//! and one resumable driver. The code is generic over two things:
+//!
+//! * **The model's input side.** For Word2Vec a center's input vector is
+//!   its input row. For CharGram it is the mean of the word row and the
+//!   word's gram rows, and each of those rows gets `grad / (1 + n)` back.
+//! * **Row storage.** Plain [`Matrix`] rows, updated with the slice
+//!   kernels, or the relaxed-atomic rows of a [`HogwildView`].
+//!
 //! Training parallelism is governed by [`SgnsConfig::threads`]:
 //!
-//! * `threads = 1` (the default) runs the fully deterministic sequential
-//!   path — one RNG stream, bit-identical embeddings for a given seed,
-//!   which is what every determinism test pins.
+//! * `threads = 1` (the default) runs the epoch loop on plain rows — one
+//!   RNG stream, bit-identical embeddings for a given seed, which is what
+//!   every determinism test pins.
 //! * `threads > 1` runs lock-free **Hogwild** SGD (Recht et al.; the
 //!   word2vec.c threading model): sentences are sharded across workers,
-//!   each worker draws from its own RNG stream (`seed ⊕ worker_id`) and
-//!   decays its learning rate over its own shard, and all workers update
-//!   the shared input/output matrices through relaxed-atomic rows
-//!   ([`tabmeta_linalg::HogwildView`]). Updates may race and occasionally
-//!   lose a write — the Hogwild trade-off that buys near-linear scaling
-//!   at a small, bounded accuracy cost (see DESIGN.md).
-// Grid construction walks coordinates; index loops are the clear form here.
-#![allow(clippy::needless_range_loop)]
+//!   each worker runs the same epoch loop with its own RNG stream
+//!   (`seed ⊕ worker_id`) and its own learning-rate decay over its shard,
+//!   and all workers update the shared matrices through [`HogwildView`]
+//!   rows. Updates may race and occasionally lose a write — the Hogwild
+//!   trade-off that buys near-linear scaling at a small, bounded accuracy
+//!   cost (see DESIGN.md).
+//!
+//! Both storages stay. Only the atomic rows can be shared between
+//! workers, and one shard through them trains the plain rows' exact
+//! bytes: worker 0 draws the sequential stream, and a row read through
+//! the view is scored with the same [`tabmeta_linalg::dot`]. But relaxed
+//! atomics cost about twice the time at one thread. On classify_bulk's
+//! 600-table training mix at dim 48 (medians of 5 trainings, three
+//! processes a side, 2-vCPU host), Word2Vec took 1.2–1.5 s on plain rows
+//! against 2.3–3.1 s on one Hogwild shard, and CharGram 1.4–1.5 s against
+//! 3.0–5.1 s.
 
 use crate::negative::NegativeTable;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use tabmeta_linalg::Matrix;
+use tabmeta_linalg::{HogwildView, Matrix};
+use tabmeta_obs::names;
+use tabmeta_text::Vocabulary;
 
 /// Hyper-parameters of SGNS training.
 ///
@@ -128,12 +147,12 @@ impl Default for SigmoidTable {
     }
 }
 
-/// Loop state of an SGNS run at an epoch boundary: everything the
-/// sequential path needs (besides the matrices themselves) to continue a
-/// run exactly where it stopped. Serialized into training checkpoints;
-/// restoring it via [`SgnsTrainer::resume`] continues the identical RNG
-/// stream and learning-rate schedule, so a resumed `threads = 1` run is
-/// bit-identical to an uninterrupted one.
+/// Loop state of an SGNS run at an epoch boundary: everything the epoch
+/// loop needs (besides the matrices themselves) to continue a run exactly
+/// where it stopped. Serialized into training checkpoints; handing it
+/// back to either embedder's `train_resumable` continues the identical
+/// RNG stream and learning-rate schedule, so a resumed `threads = 1` run
+/// is bit-identical to an uninterrupted one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SgnsResume {
     /// Epochs fully completed.
@@ -169,6 +188,15 @@ impl SgnsResume {
 /// simulate dying right after a checkpoint write).
 pub type EpochSink<'s, M> = &'s mut dyn FnMut(&M, &SgnsResume) -> std::ops::ControlFlow<()>;
 
+/// Progress statistics of an SGNS run.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TrainReport {
+    /// Total (center, context) pairs processed.
+    pub pairs: u64,
+    /// Final learning rate after decay.
+    pub final_lr: f32,
+}
+
 /// The context positions of the center at `pos` in a sentence of `len`
 /// tokens, under word2vec's dynamic window: one radius drawn from
 /// `1..=window` per center, then every position within it but `pos`,
@@ -186,259 +214,248 @@ pub(crate) fn context_positions(
     (lo..=hi).filter(move |&ctx_pos| ctx_pos != pos)
 }
 
-/// The mutable state of one SGNS run over id-encoded sentences.
-pub struct SgnsTrainer<'a> {
-    config: &'a SgnsConfig,
+/// Row storage the pair update reads and writes: plain [`Matrix`] rows
+/// on one thread, shared [`HogwildView`] rows on many.
+pub(crate) trait Rows {
+    /// Row `i`, borrowed in place or copied into `scratch`.
+    fn row<'s>(&'s self, i: usize, scratch: &'s mut [f32]) -> &'s [f32];
+    /// `out = row i`.
+    fn read(&self, i: usize, out: &mut [f32]);
+    /// `out += row i`.
+    fn add_to(&self, i: usize, out: &mut [f32]);
+    /// `row i += alpha · x`.
+    fn axpy(&mut self, i: usize, alpha: f32, x: &[f32]);
+    /// `row i += x`.
+    fn add(&mut self, i: usize, x: &[f32]);
+}
+
+impl Rows for Matrix {
+    #[inline]
+    fn row<'s>(&'s self, i: usize, _scratch: &'s mut [f32]) -> &'s [f32] {
+        Matrix::row(self, i)
+    }
+    #[inline]
+    fn read(&self, i: usize, out: &mut [f32]) {
+        out.copy_from_slice(Matrix::row(self, i));
+    }
+    #[inline]
+    fn add_to(&self, i: usize, out: &mut [f32]) {
+        tabmeta_linalg::add_assign(out, Matrix::row(self, i));
+    }
+    #[inline]
+    fn axpy(&mut self, i: usize, alpha: f32, x: &[f32]) {
+        tabmeta_linalg::axpy(alpha, x, self.row_mut(i));
+    }
+    #[inline]
+    fn add(&mut self, i: usize, x: &[f32]) {
+        tabmeta_linalg::add_assign(self.row_mut(i), x);
+    }
+}
+
+/// Each Hogwild worker holds its own copy of the view; every write is a
+/// relaxed read-add-store per element inside `tabmeta_linalg`.
+impl Rows for HogwildView<'_> {
+    #[inline]
+    fn row<'s>(&'s self, i: usize, scratch: &'s mut [f32]) -> &'s [f32] {
+        self.read_row(i, scratch);
+        scratch
+    }
+    #[inline]
+    fn read(&self, i: usize, out: &mut [f32]) {
+        self.read_row(i, out);
+    }
+    #[inline]
+    fn add_to(&self, i: usize, out: &mut [f32]) {
+        self.accumulate_row(i, out);
+    }
+    #[inline]
+    fn axpy(&mut self, i: usize, alpha: f32, x: &[f32]) {
+        self.update_row(i, alpha, x);
+    }
+    #[inline]
+    fn add(&mut self, i: usize, x: &[f32]) {
+        self.update_row(i, 1.0, x);
+    }
+}
+
+/// Borrowed plain rows, for an input side made of several matrices.
+impl<R: Rows> Rows for &mut R {
+    fn row<'s>(&'s self, i: usize, scratch: &'s mut [f32]) -> &'s [f32] {
+        (**self).row(i, scratch)
+    }
+    fn read(&self, i: usize, out: &mut [f32]) {
+        (**self).read(i, out);
+    }
+    fn add_to(&self, i: usize, out: &mut [f32]) {
+        (**self).add_to(i, out);
+    }
+    fn axpy(&mut self, i: usize, alpha: f32, x: &[f32]) {
+        (**self).axpy(i, alpha, x);
+    }
+    fn add(&mut self, i: usize, x: &[f32]) {
+        (**self).add(i, x);
+    }
+}
+
+/// The input side of an SGNS model: how a center word's input vector is
+/// composed from stored rows, and how its accumulated gradient flows back.
+pub(crate) trait InputSide {
+    /// The input vector of `center`, borrowed in place or composed into
+    /// `scratch`.
+    fn compose<'s>(&'s self, center: usize, scratch: &'s mut [f32]) -> &'s [f32];
+    /// Apply `grad`, the gradient accumulated on `center`'s input vector.
+    /// May scale `grad` in place.
+    fn spread(&mut self, center: usize, grad: &mut [f32]);
+}
+
+/// One row per word: Word2Vec's input matrix.
+impl<R: Rows> InputSide for R {
+    fn compose<'s>(&'s self, center: usize, scratch: &'s mut [f32]) -> &'s [f32] {
+        self.row(center, scratch)
+    }
+    fn spread(&mut self, center: usize, grad: &mut [f32]) {
+        self.add(center, grad);
+    }
+}
+
+/// A model the shared driver trains: its hyper-parameters and vocabulary,
+/// and its input side and output rows handed to the epoch loop as plain
+/// rows, or to Hogwild as shared views.
+pub(crate) trait SgnsModel {
+    /// The SGNS hyper-parameters the model was built with.
+    fn sgns_config(&self) -> &SgnsConfig;
+    /// The vocabulary negatives are drawn from.
+    fn vocab(&self) -> &Vocabulary;
+    /// One epoch on the model's plain rows ([`SgnsRun::epoch`]).
+    fn epoch(&mut self, run: &SgnsRun, sentences: &[Vec<u32>], st: &mut SgnsResume);
+    /// The whole stage on views of the model's rows ([`SgnsRun::hogwild`]).
+    fn hogwild(&mut self, run: &SgnsRun, sentences: &[Vec<u32>]) -> TrainReport;
+}
+
+/// What every pair update of one training run reads: the
+/// hyper-parameters, the negative-sampling table and the sigmoid table.
+pub(crate) struct SgnsRun {
+    config: SgnsConfig,
+    negatives: NegativeTable,
     sigmoid: SigmoidTable,
+}
+
+/// The RNG stream and row buffers one epoch loop threads through its pair
+/// updates.
+struct Scratch {
     rng: StdRng,
-    epochs_done: usize,
-    processed: u64,
-    pairs: u64,
-    lr: f32,
+    v_in: Vec<f32>,
+    v_out: Vec<f32>,
+    grad: Vec<f32>,
 }
 
-/// Progress statistics reported by [`SgnsTrainer::train`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TrainReport {
-    /// Total (center, context) pairs processed.
-    pub pairs: u64,
-    /// Final learning rate after decay.
-    pub final_lr: f32,
-}
-
-impl<'a> SgnsTrainer<'a> {
-    /// New trainer with the config's seed.
-    pub fn new(config: &'a SgnsConfig) -> Self {
+impl SgnsRun {
+    /// The constants of a run over `vocab`.
+    pub(crate) fn new(config: &SgnsConfig, vocab: &Vocabulary) -> Self {
         Self {
-            config,
+            config: config.clone(),
+            negatives: NegativeTable::build(vocab, NegativeTable::DEFAULT_SIZE.min(1 << 18)),
             sigmoid: SigmoidTable::new(),
-            rng: StdRng::seed_from_u64(config.seed),
-            epochs_done: 0,
-            processed: 0,
-            pairs: 0,
-            lr: config.learning_rate,
         }
     }
 
-    /// Rebuild a trainer mid-run from a checkpointed [`SgnsResume`]. The
-    /// caller must supply the same matrices the snapshot was taken against
-    /// for the continuation to be meaningful.
-    pub fn resume(config: &'a SgnsConfig, state: &SgnsResume) -> Self {
-        Self {
-            config,
-            sigmoid: SigmoidTable::new(),
-            rng: StdRng::from_state(state.rng),
-            epochs_done: state.epochs_done,
-            processed: state.processed,
-            pairs: state.pairs,
-            lr: state.lr,
-        }
-    }
-
-    /// Snapshot the loop state (valid at epoch boundaries).
-    pub fn state(&self) -> SgnsResume {
-        SgnsResume {
-            epochs_done: self.epochs_done,
-            rng: self.rng.state(),
-            processed: self.processed,
-            pairs: self.pairs,
-            lr: self.lr,
-        }
-    }
-
-    /// Whether all configured epochs have run.
-    pub fn is_complete(&self) -> bool {
-        self.epochs_done >= self.config.epochs
-    }
-
-    /// Progress report for the epochs run so far.
-    pub fn report(&self) -> TrainReport {
-        TrainReport { pairs: self.pairs, final_lr: self.lr }
-    }
-
-    /// Run SGNS over `sentences` (term-id sequences), updating `input` and
-    /// `output` matrices in place. `negatives` must be built over the same
-    /// id space.
-    pub fn train(
-        &mut self,
+    /// One epoch over `sentences`, advancing `st` (RNG stream, decay,
+    /// counters) in place. An empty sentence set still advances the epoch
+    /// counter so zero-work runs terminate.
+    pub(crate) fn epoch<I: InputSide, R: Rows>(
+        &self,
         sentences: &[Vec<u32>],
-        negatives: &NegativeTable,
-        input: &mut Matrix,
-        output: &mut Matrix,
-    ) -> TrainReport {
-        assert_eq!(input.dim(), output.dim(), "SGNS matrices must share dimensionality");
-        use tabmeta_obs::names;
-        tabmeta_obs::span!(names::SPAN_SGNS);
-        let obs = tabmeta_obs::global();
-        if self.config.threads > 1 {
-            let report = self.train_hogwild(sentences, negatives, input, output);
-            // Metrics are aggregated across workers and recorded once.
-            obs.counter(names::SGNS_PAIRS).add(report.pairs);
-            obs.gauge(names::SGNS_LR).set(report.final_lr as f64);
-            return report;
-        }
-        while !self.is_complete() {
-            self.run_epoch(sentences, negatives, input, output);
-        }
-        self.report()
-    }
-
-    /// Run exactly one epoch of the sequential deterministic path,
-    /// advancing the trainer's RNG, decay, and counters. Callers that need
-    /// per-epoch checkpoints drive this directly ([`SgnsTrainer::state`]
-    /// between calls); [`SgnsTrainer::train`] loops it to completion.
-    /// No-op once [`SgnsTrainer::is_complete`] — except that an empty
-    /// sentence set still advances the epoch counter so zero-work runs
-    /// terminate.
-    pub fn run_epoch(
-        &mut self,
-        sentences: &[Vec<u32>],
-        negatives: &NegativeTable,
-        input: &mut Matrix,
-        output: &mut Matrix,
+        input: &mut I,
+        output: &mut R,
+        st: &mut SgnsResume,
     ) {
-        assert_eq!(input.dim(), output.dim(), "SGNS matrices must share dimensionality");
-        if self.is_complete() {
-            return;
-        }
-        let obs = tabmeta_obs::global();
-        let pair_counter = obs.counter(tabmeta_obs::names::SGNS_PAIRS);
-        let lr_gauge = obs.gauge(tabmeta_obs::names::SGNS_LR);
-        let _epoch_span = obs.span(tabmeta_obs::names::SPAN_EPOCH);
-        let dim = input.dim();
+        let config = &self.config;
         let total_tokens: u64 = sentences.iter().map(|s| s.len() as u64).sum();
-        let total_work = (total_tokens * self.config.epochs as u64).max(1);
-        let mut grad = vec![0.0f32; dim];
-        let pairs_at_epoch_start = self.pairs;
+        let total_work = (total_tokens * config.epochs as u64).max(1);
+        let mut scratch = Scratch {
+            rng: StdRng::from_state(st.rng),
+            v_in: vec![0.0; config.dim],
+            v_out: vec![0.0; config.dim],
+            grad: vec![0.0; config.dim],
+        };
         for sentence in sentences {
             for (pos, &center) in sentence.iter().enumerate() {
-                self.processed += 1;
+                st.processed += 1;
                 // Linear decay with the standard floor.
-                self.lr = self.config.learning_rate
-                    * (1.0 - self.processed as f32 / total_work as f32).max(1e-4);
+                st.lr = config.learning_rate
+                    * (1.0 - st.processed as f32 / total_work as f32).max(1e-4);
                 for ctx_pos in
-                    context_positions(&mut self.rng, self.config.window, pos, sentence.len())
+                    context_positions(&mut scratch.rng, config.window, pos, sentence.len())
                 {
-                    let context = sentence[ctx_pos];
-                    self.pairs += 1;
-                    let lr = self.lr;
-                    self.step(center, context, negatives, input, output, lr, &mut grad);
+                    st.pairs += 1;
+                    let context = sentence[ctx_pos] as usize;
+                    self.pair(input, output, center as usize, context, st.lr, &mut scratch);
                 }
             }
         }
-        self.epochs_done += 1;
-        pair_counter.add(self.pairs - pairs_at_epoch_start);
-        lr_gauge.set(self.lr as f64);
+        st.rng = scratch.rng.state();
+        st.epochs_done += 1;
     }
 
-    /// One positive pair plus `k` negative updates.
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        center: u32,
-        context: u32,
-        negatives: &NegativeTable,
-        input: &mut Matrix,
-        output: &mut Matrix,
-        lr: f32,
-        grad: &mut [f32],
-    ) {
-        grad.fill(0.0);
-        let v_in = input.row(center as usize).to_vec();
-        // Positive sample: label 1.
-        {
-            let v_out = output.row_mut(context as usize);
-            let score = self.sigmoid.get(tabmeta_linalg::dot(&v_in, v_out));
-            let g = (1.0 - score) * lr;
-            tabmeta_linalg::axpy(g, v_out, grad);
-            tabmeta_linalg::axpy(g, &v_in, v_out);
-        }
-        // Negative samples: label 0.
-        for _ in 0..self.config.negative {
-            let neg = negatives.sample(&mut self.rng);
-            if neg == context {
-                continue;
-            }
-            let v_out = output.row_mut(neg as usize);
-            let score = self.sigmoid.get(tabmeta_linalg::dot(&v_in, v_out));
-            let g = (0.0 - score) * lr;
-            tabmeta_linalg::axpy(g, v_out, grad);
-            tabmeta_linalg::axpy(g, &v_in, v_out);
-        }
-        tabmeta_linalg::add_assign(input.row_mut(center as usize), grad);
-    }
-
-    /// Hogwild data-parallel training: sentences are split into one
-    /// contiguous shard per worker; each worker runs the same SGD loop as
-    /// the sequential path with its own RNG stream (`seed ⊕ worker_id`,
-    /// so worker 0 of a one-shard run reproduces the sequential stream)
-    /// and its own linear learning-rate decay over shard-local work,
-    /// while all workers write to the shared matrices through relaxed
-    /// atomics ([`tabmeta_linalg::HogwildView`]).
-    fn train_hogwild(
+    /// One pair update: the positive `context` (label 1), then `negative`
+    /// sampled words (label 0, skipping a draw of `context` itself), each
+    /// scored against `center`'s input vector. Every output row steps by
+    /// `g · v_in` while `g · v_out_old` accumulates into the input
+    /// gradient, which the input side receives last.
+    fn pair<I: InputSide, R: Rows>(
         &self,
-        sentences: &[Vec<u32>],
-        negatives: &NegativeTable,
-        input: &mut Matrix,
-        output: &mut Matrix,
-    ) -> TrainReport {
-        let config = self.config;
-        let sigmoid = &self.sigmoid;
-        let dim = input.dim();
+        input: &mut I,
+        output: &mut R,
+        center: usize,
+        context: usize,
+        lr: f32,
+        scratch: &mut Scratch,
+    ) {
+        let Scratch { rng, v_in, v_out, grad } = scratch;
+        grad.fill(0.0);
+        let v_in = input.compose(center, v_in);
+        let mut step = |target: usize, label: f32| {
+            let v_out = output.row(target, v_out);
+            let g = (label - self.sigmoid.get(tabmeta_linalg::dot(v_in, v_out))) * lr;
+            tabmeta_linalg::axpy(g, v_out, grad);
+            output.axpy(target, g, v_in);
+        };
+        step(context, 1.0);
+        for _ in 0..self.config.negative {
+            let neg = self.negatives.sample(rng) as usize;
+            if neg != context {
+                step(neg, 0.0);
+            }
+        }
+        input.spread(center, grad);
+    }
+
+    /// The whole stage as Hogwild SGD: `sentences` split into one
+    /// contiguous shard per thread, each worker running the epoch loop on
+    /// its own copy of the shared views, with its own RNG stream
+    /// (`seed ⊕ worker_id`, so worker 0 of a one-shard run draws the
+    /// sequential stream) and its own decay over shard-local work.
+    pub(crate) fn hogwild<I, R>(&self, sentences: &[Vec<u32>], input: I, output: R) -> TrainReport
+    where
+        I: InputSide + Copy + Sync,
+        R: Rows + Copy + Sync,
+    {
+        let config = &self.config;
         let chunk = sentences.len().div_ceil(config.threads).max(1);
         let shards: Vec<(u64, &[Vec<u32>])> =
             sentences.chunks(chunk).enumerate().map(|(w, s)| (w as u64, s)).collect();
-        let in_view = input.hogwild();
-        let out_view = output.hogwild();
         let reports: Vec<TrainReport> = shards
             .par_iter()
             .map(|&(worker, shard)| {
-                let mut rng = StdRng::seed_from_u64(config.seed ^ worker);
-                let shard_tokens: u64 = shard.iter().map(|s| s.len() as u64).sum();
-                let total_work = (shard_tokens * config.epochs as u64).max(1);
-                let mut processed: u64 = 0;
-                let mut pairs: u64 = 0;
-                let mut lr = config.learning_rate;
-                let mut v_in = vec![0.0f32; dim];
-                let mut v_out = vec![0.0f32; dim];
-                let mut grad = vec![0.0f32; dim];
-                for _epoch in 0..config.epochs {
-                    for sentence in shard {
-                        for (pos, &center) in sentence.iter().enumerate() {
-                            processed += 1;
-                            lr = config.learning_rate
-                                * (1.0 - processed as f32 / total_work as f32).max(1e-4);
-                            for ctx_pos in
-                                context_positions(&mut rng, config.window, pos, sentence.len())
-                            {
-                                let context = sentence[ctx_pos] as usize;
-                                pairs += 1;
-                                grad.fill(0.0);
-                                in_view.read_row(center as usize, &mut v_in);
-                                // Positive sample: label 1.
-                                out_view.read_row(context, &mut v_out);
-                                let score = sigmoid.get(tabmeta_linalg::dot(&v_in, &v_out));
-                                let g = (1.0 - score) * lr;
-                                tabmeta_linalg::axpy(g, &v_out, &mut grad);
-                                out_view.update_row(context, g, &v_in);
-                                // Negative samples: label 0.
-                                for _ in 0..config.negative {
-                                    let neg = negatives.sample(&mut rng) as usize;
-                                    if neg == context {
-                                        continue;
-                                    }
-                                    out_view.read_row(neg, &mut v_out);
-                                    let score = sigmoid.get(tabmeta_linalg::dot(&v_in, &v_out));
-                                    let g = (0.0 - score) * lr;
-                                    tabmeta_linalg::axpy(g, &v_out, &mut grad);
-                                    out_view.update_row(neg, g, &v_in);
-                                }
-                                in_view.update_row(center as usize, 1.0, &grad);
-                            }
-                        }
-                    }
+                let (mut input, mut output) = (input, output);
+                let mut st = SgnsResume {
+                    rng: StdRng::seed_from_u64(config.seed ^ worker).state(),
+                    ..SgnsResume::fresh(config)
+                };
+                while st.epochs_done < config.epochs {
+                    self.epoch(shard, &mut input, &mut output, &mut st);
                 }
-                TrainReport { pairs, final_lr: lr }
+                TrainReport { pairs: st.pairs, final_lr: st.lr }
             })
             .collect();
         let pairs = reports.iter().map(|r| r.pairs).sum();
@@ -448,10 +465,70 @@ impl<'a> SgnsTrainer<'a> {
     }
 }
 
+/// The one resumable SGNS driver behind both embedders'
+/// `train_encoded_resumable`. It starts from `resume`, or from `fresh()`
+/// and a fresh [`SgnsResume`]; returns early on an empty corpus; builds
+/// the negative table; then trains inside the `sgns` span. At
+/// `threads > 1` with no epoch done yet, Hogwild runs the whole stage and
+/// `sink` sees only its end (mid-stage interleaving state cannot be
+/// snapshotted). Otherwise the epoch loop runs on plain rows and `sink`
+/// sees every epoch, so a part-done resume at `threads > 1` finishes on
+/// the deterministic loop. Returns `true` in the last slot when `sink`
+/// broke out early; the model then holds the last completed epoch.
+pub(crate) fn train_resumable<M: SgnsModel>(
+    encoded: &[Vec<u32>],
+    resume: Option<(M, SgnsResume)>,
+    fresh: impl FnOnce() -> M,
+    mut sink: Option<EpochSink<'_, M>>,
+) -> (M, TrainReport, bool) {
+    let (mut model, mut st) = resume.unwrap_or_else(|| {
+        let model = fresh();
+        let st = SgnsResume::fresh(model.sgns_config());
+        (model, st)
+    });
+    if encoded.is_empty() || model.vocab().total_count() == 0 {
+        return (model, TrainReport { pairs: st.pairs, final_lr: st.lr }, false);
+    }
+    let run = SgnsRun::new(model.sgns_config(), model.vocab());
+    let config = &run.config;
+    let obs = tabmeta_obs::global();
+    let _span = obs.span(names::SPAN_SGNS);
+    let pair_counter = obs.counter(names::SGNS_PAIRS);
+    let lr_gauge = obs.gauge(names::SGNS_LR);
+
+    if config.threads > 1 && st.epochs_done == 0 {
+        let report = model.hogwild(&run, encoded);
+        pair_counter.add(report.pairs);
+        lr_gauge.set(report.final_lr as f64);
+        let end = SgnsResume {
+            epochs_done: config.epochs,
+            pairs: report.pairs,
+            lr: report.final_lr,
+            ..SgnsResume::fresh(config)
+        };
+        let interrupted = sink.is_some_and(|sink| sink(&model, &end).is_break());
+        return (model, report, interrupted);
+    }
+
+    let mut interrupted = false;
+    while st.epochs_done < config.epochs && !interrupted {
+        let pairs_before = st.pairs;
+        {
+            let _epoch = obs.span(names::SPAN_EPOCH);
+            model.epoch(&run, encoded, &mut st);
+        }
+        pair_counter.add(st.pairs - pairs_before);
+        lr_gauge.set(st.lr as f64);
+        interrupted = sink.as_mut().is_some_and(|sink| sink(&model, &st).is_break());
+    }
+    (model, TrainReport { pairs: st.pairs, final_lr: st.lr }, interrupted)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabmeta_text::Vocabulary;
+    use crate::{CharGram, CharGramConfig, VocabBuilder, Word2Vec};
+    use std::ops::ControlFlow;
 
     #[test]
     fn sigmoid_table_matches_exact() {
@@ -464,7 +541,7 @@ mod tests {
         assert_eq!(s.get(-100.0), 0.0);
     }
 
-    fn toy_setup() -> (Vec<Vec<u32>>, NegativeTable, Matrix, Matrix, SgnsConfig) {
+    fn toy_setup() -> (Vocabulary, Vec<Vec<u32>>, SgnsConfig) {
         // Two "topics": {0,1} co-occur, {2,3} co-occur.
         let mut vocab = Vocabulary::new();
         for t in ["a", "b", "c", "d"] {
@@ -475,137 +552,156 @@ mod tests {
             sentences.push(vec![0u32, 1, 0, 1]);
             sentences.push(vec![2u32, 3, 2, 3]);
         }
-        let negatives = NegativeTable::build(&vocab, 4096);
         let config = SgnsConfig { dim: 16, epochs: 3, window: 2, ..SgnsConfig::tiny(11) };
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let input = Matrix::uniform_init(4, config.dim, &mut rng);
-        let output = Matrix::zeros(4, config.dim);
-        (sentences, negatives, input, output, config)
+        (vocab, sentences, config)
     }
 
-    #[test]
-    fn training_separates_topics() {
-        let (sentences, negatives, mut input, mut output, config) = toy_setup();
-        let mut trainer = SgnsTrainer::new(&config);
-        let report = trainer.train(&sentences, &negatives, &mut input, &mut output);
-        assert!(report.pairs > 1_000, "too few pairs: {}", report.pairs);
+    fn train_toy(config: &SgnsConfig) -> (Word2Vec, TrainReport) {
+        let (vocab, sentences, _) = toy_setup();
+        let (model, report, _) =
+            Word2Vec::train_encoded_resumable(vocab, &sentences, config.clone(), None, None);
+        (model, report)
+    }
 
+    fn assert_topics_separate(model: &Word2Vec) {
         let sim =
-            |i: usize, j: usize| tabmeta_linalg::cosine_similarity(input.row(i), input.row(j));
+            |i: u32, j: u32| tabmeta_linalg::cosine_similarity(model.vector(i), model.vector(j));
         // Within-topic similarity must dominate cross-topic.
         assert!(sim(0, 1) > sim(0, 2), "a~b {} vs a~c {}", sim(0, 1), sim(0, 2));
         assert!(sim(2, 3) > sim(1, 3), "c~d {} vs b~d {}", sim(2, 3), sim(1, 3));
     }
 
     #[test]
+    fn training_separates_topics() {
+        let (_, _, config) = toy_setup();
+        let (model, report) = train_toy(&config);
+        assert!(report.pairs > 1_000, "too few pairs: {}", report.pairs);
+        assert_topics_separate(&model);
+    }
+
+    #[test]
     fn training_is_deterministic() {
-        let (sentences, negatives, input0, output0, config) = toy_setup();
-        let run = || {
-            let mut input = input0.clone();
-            let mut output = output0.clone();
-            SgnsTrainer::new(&config).train(&sentences, &negatives, &mut input, &mut output);
-            input
-        };
-        assert_eq!(run(), run(), "same seed must give identical embeddings");
+        let (_, _, config) = toy_setup();
+        assert_eq!(
+            train_toy(&config).0.to_json(),
+            train_toy(&config).0.to_json(),
+            "same seed must give identical embeddings"
+        );
     }
 
     #[test]
     fn hogwild_training_separates_topics() {
-        let (sentences, negatives, mut input, mut output, config) = toy_setup();
+        let (_, _, config) = toy_setup();
         let config = SgnsConfig { threads: 4, ..config };
-        let mut trainer = SgnsTrainer::new(&config);
-        let report = trainer.train(&sentences, &negatives, &mut input, &mut output);
+        let (model, report) = train_toy(&config);
         assert!(report.pairs > 1_000, "too few pairs: {}", report.pairs);
         assert!(report.final_lr < config.learning_rate);
-
-        let sim =
-            |i: usize, j: usize| tabmeta_linalg::cosine_similarity(input.row(i), input.row(j));
-        assert!(sim(0, 1) > sim(0, 2), "a~b {} vs a~c {}", sim(0, 1), sim(0, 2));
-        assert!(sim(2, 3) > sim(1, 3), "c~d {} vs b~d {}", sim(2, 3), sim(1, 3));
+        assert_topics_separate(&model);
     }
 
     #[test]
     fn explicit_single_thread_matches_default_stream() {
-        let (sentences, negatives, input0, output0, config) = toy_setup();
-        let run = |cfg: &SgnsConfig| {
-            let mut input = input0.clone();
-            let mut output = output0.clone();
-            SgnsTrainer::new(cfg).train(&sentences, &negatives, &mut input, &mut output);
-            input
-        };
+        let (_, _, config) = toy_setup();
         let explicit = SgnsConfig { threads: 1, ..config.clone() };
-        assert_eq!(run(&config), run(&explicit), "threads=1 must stay the sequential stream");
+        assert_eq!(
+            train_toy(&config).0.to_json(),
+            train_toy(&explicit).0.to_json(),
+            "threads=1 must stay the sequential stream"
+        );
     }
 
     #[test]
     fn epoch_resume_matches_uninterrupted() {
-        let (sentences, negatives, input0, output0, config) = toy_setup();
-        // Uninterrupted run.
-        let mut input_a = input0.clone();
-        let mut output_a = output0.clone();
-        let report_a =
-            SgnsTrainer::new(&config).train(&sentences, &negatives, &mut input_a, &mut output_a);
-        // Run one epoch, snapshot, drop the trainer, rebuild from the
-        // snapshot alone, finish.
-        let mut input_b = input0.clone();
-        let mut output_b = output0.clone();
-        let snap = {
-            let mut t = SgnsTrainer::new(&config);
-            t.run_epoch(&sentences, &negatives, &mut input_b, &mut output_b);
-            assert!(!t.is_complete());
-            t.state()
+        let (vocab, sentences, config) = toy_setup();
+        let (model_a, report_a) = train_toy(&config);
+        // Run one epoch, snapshot, drop the run, rebuild from the snapshot
+        // alone, finish.
+        let mut snap = None;
+        let mut sink = |m: &Word2Vec, s: &SgnsResume| {
+            snap = Some((m.clone(), s.clone()));
+            ControlFlow::Break(())
         };
-        let report_b = SgnsTrainer::resume(&config, &snap).train(
+        let (_, _, interrupted) = Word2Vec::train_encoded_resumable(
+            vocab.clone(),
             &sentences,
-            &negatives,
-            &mut input_b,
-            &mut output_b,
+            config.clone(),
+            None,
+            Some(&mut sink),
         );
-        assert_eq!(input_a, input_b, "resumed run must be bit-identical");
-        assert_eq!(output_a, output_b);
+        assert!(interrupted);
+        assert_eq!(snap.as_ref().map(|(_, s)| s.epochs_done), Some(1));
+        let (model_b, report_b, interrupted) =
+            Word2Vec::train_encoded_resumable(vocab, &sentences, config, snap, None);
+        assert!(!interrupted);
+        assert_eq!(model_a.to_json(), model_b.to_json(), "resumed run must be bit-identical");
         assert_eq!(report_a, report_b);
     }
 
     #[test]
-    fn run_epoch_terminates_on_empty_sentences() {
-        let config = SgnsConfig::tiny(5);
-        let negatives = {
-            let mut v = Vocabulary::new();
-            v.add("x");
-            NegativeTable::build(&v, 64)
-        };
-        let mut input = Matrix::zeros(1, config.dim);
-        let mut output = Matrix::zeros(1, config.dim);
-        let mut t = SgnsTrainer::new(&config);
+    fn epoch_terminates_on_empty_sentences() {
+        let (vocab, _, config) = toy_setup();
+        let run = SgnsRun::new(&config, &vocab);
+        let mut input = Matrix::zeros(vocab.len(), config.dim);
+        let mut output = Matrix::zeros(vocab.len(), config.dim);
+        let mut st = SgnsResume::fresh(&config);
         let mut spins = 0;
-        while !t.is_complete() {
-            t.run_epoch(&[], &negatives, &mut input, &mut output);
+        while st.epochs_done < config.epochs {
+            run.epoch(&[], &mut input, &mut output, &mut st);
             spins += 1;
             assert!(spins <= config.epochs, "empty input must still advance epochs");
         }
-        assert_eq!(t.report().pairs, 0);
+        assert_eq!(st.pairs, 0);
     }
 
     #[test]
     fn learning_rate_decays() {
-        let (sentences, negatives, mut input, mut output, config) = toy_setup();
-        let report =
-            SgnsTrainer::new(&config).train(&sentences, &negatives, &mut input, &mut output);
+        let (_, _, config) = toy_setup();
+        let (_, report) = train_toy(&config);
         assert!(report.final_lr < config.learning_rate);
         assert!(report.final_lr > 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "share dimensionality")]
+    #[should_panic(expected = "dimension mismatch")]
     fn mismatched_matrices_panic() {
-        let config = SgnsConfig::tiny(0);
-        let negatives = {
-            let mut v = Vocabulary::new();
-            v.add("x");
-            NegativeTable::build(&v, 64)
-        };
-        let mut input = Matrix::zeros(1, 8);
-        let mut output = Matrix::zeros(1, 16);
-        SgnsTrainer::new(&config).train(&[vec![0]], &negatives, &mut input, &mut output);
+        let (vocab, _, config) = toy_setup();
+        let run = SgnsRun::new(&config, &vocab);
+        let mut input = Matrix::zeros(vocab.len(), config.dim);
+        let mut output = Matrix::zeros(vocab.len(), 2 * config.dim);
+        let mut st = SgnsResume::fresh(&config);
+        run.epoch(&[vec![0, 1]], &mut input, &mut output, &mut st);
+    }
+
+    /// One Hogwild shard over atomic rows trains the plain rows' bytes,
+    /// for both input sides. Random sentences over 40 terms give enough
+    /// distinct dot products that a storage summing in another order moves
+    /// some sigmoid-table lookup, and with it the bytes.
+    #[test]
+    fn one_hogwild_shard_matches_plain_rows_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let terms: Vec<String> = (0..40).map(|i| format!("term{i}")).collect();
+        let sentences: Vec<Vec<String>> = (0..200)
+            .map(|_| (0..8).map(|_| terms[rng.random_range(0..terms.len())].clone()).collect())
+            .collect();
+        let (vocab, encoded) = VocabBuilder::encode_all(&sentences, 1);
+        // dim 18 leaves a tail after the 4-lane chunks of `dot`.
+        let sgns = SgnsConfig { dim: 18, ..SgnsConfig::tiny(31) };
+        let run = SgnsRun::new(&sgns, &vocab);
+
+        let (plain, plain_report, _) =
+            Word2Vec::train_encoded_resumable(vocab.clone(), &encoded, sgns.clone(), None, None);
+        let mut shared = Word2Vec::fresh(vocab.clone(), sgns.clone());
+        let shared_report = shared.hogwild(&run, &encoded);
+        let word2vec = (shared.to_json() == plain.to_json(), shared_report == plain_report);
+
+        let config = CharGramConfig { sgns, ..CharGramConfig::tiny(31) };
+        let (plain, plain_report, _) =
+            CharGram::train_encoded_resumable(vocab.clone(), &encoded, config.clone(), None, None);
+        let mut shared = CharGram::fresh(vocab, config);
+        let shared_report = shared.hogwild(&run, &encoded);
+        let chargram = (shared.to_json() == plain.to_json(), shared_report == plain_report);
+
+        // (bytes equal, report equal) for Word2Vec, then CharGram.
+        assert_eq!((word2vec, chargram), ((true, true), (true, true)));
     }
 }

@@ -5,8 +5,7 @@
 //! vectors are the **input** matrix rows, as is conventional.
 
 use crate::embedder::{check_matrix_finite, IntegrityFault, TermEmbedder, TunableEmbedder};
-use crate::negative::NegativeTable;
-use crate::sgns::{EpochSink, SgnsConfig, SgnsResume, SgnsTrainer, TrainReport};
+use crate::sgns::{self, EpochSink, SgnsConfig, SgnsModel, SgnsResume, SgnsRun, TrainReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -107,7 +106,7 @@ impl Word2Vec {
     /// Train a model from term-string sentences.
     ///
     /// Builds the vocabulary (applying `config.min_count`), encodes the
-    /// sentences, and runs [`SgnsTrainer`]. Numeric class tokens are
+    /// sentences, and runs SGNS ([`crate::sgns`]). Numeric class tokens are
     /// pre-interned so they always exist even in corpora without numerics.
     pub fn train(sentences: &[Vec<String>], config: SgnsConfig) -> (Self, TrainReport) {
         let (model, report, _) = Self::train_resumable(sentences, config, None, None);
@@ -119,17 +118,18 @@ impl Word2Vec {
     /// The vocabulary and sentence encoding are always recomputed (they are
     /// pure functions of `sentences` + `config`); `resume` restores a model
     /// and its SGNS loop state captured at an epoch boundary, and `sink` is
-    /// invoked after every completed epoch on the sequential path (once,
-    /// after the whole stage, on the Hogwild path — per-epoch interleaving
-    /// state cannot be snapshotted there). Returns `true` in the last tuple
+    /// invoked after every completed epoch of the epoch loop (once, after
+    /// the whole stage, under Hogwild — per-epoch interleaving state
+    /// cannot be snapshotted there). Returns `true` in the last tuple
     /// slot when the sink broke out of training early; the returned model
     /// then holds the state at the last completed epoch.
     ///
     /// At `threads = 1` a resumed run continues the exact RNG stream and
     /// learning-rate schedule, so the final model is bit-identical to an
     /// uninterrupted run. A partially-complete resume under `threads > 1`
-    /// finishes the remaining epochs on the deterministic sequential path
-    /// (mid-stage Hogwild state is never checkpointed in the first place).
+    /// finishes the remaining epochs on the deterministic epoch loop over
+    /// plain rows (mid-stage Hogwild state is never checkpointed in the
+    /// first place).
     pub fn train_resumable(
         sentences: &[Vec<String>],
         config: SgnsConfig,
@@ -154,66 +154,18 @@ impl Word2Vec {
         encoded: &[Vec<u32>],
         config: SgnsConfig,
         resume: Option<(Self, SgnsResume)>,
-        mut sink: Option<EpochSink<'_, Self>>,
+        sink: Option<EpochSink<'_, Self>>,
     ) -> (Self, TrainReport, bool) {
-        let (mut model, state) = match resume {
-            Some((model, state)) => (model, state),
-            None => {
-                let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
-                let input = Matrix::uniform_init(vocab.len(), config.dim, &mut rng);
-                let output = Matrix::zeros(vocab.len(), config.dim);
-                let state = SgnsResume::fresh(&config);
-                (Self { config, vocab, input, output }, state)
-            }
-        };
-        let config = model.config.clone();
+        sgns::train_resumable(encoded, resume, || Self::fresh(vocab, config), sink)
+    }
 
-        if encoded.is_empty() || model.vocab.total_count() == 0 {
-            return (model, TrainReport { pairs: state.pairs, final_lr: state.lr }, false);
-        }
-        let negatives =
-            NegativeTable::build(&model.vocab, NegativeTable::DEFAULT_SIZE.min(1 << 18));
-
-        if config.threads > 1 && state.epochs_done == 0 {
-            // Hogwild runs the stage in one shot; per-epoch snapshots are
-            // meaningless mid-flight, so the sink sees only the stage end.
-            let report = SgnsTrainer::new(&config).train(
-                encoded,
-                &negatives,
-                &mut model.input,
-                &mut model.output,
-            );
-            let mut interrupted = false;
-            if let Some(sink) = sink.as_mut() {
-                let end = SgnsResume {
-                    epochs_done: config.epochs,
-                    pairs: report.pairs,
-                    lr: report.final_lr,
-                    ..SgnsResume::fresh(&config)
-                };
-                interrupted = sink(&model, &end).is_break();
-            }
-            return (model, report, interrupted);
-        }
-
-        tabmeta_obs::span!(tabmeta_obs::names::SPAN_SGNS);
-        let mut trainer = if state.epochs_done == 0 && state.processed == 0 {
-            SgnsTrainer::new(&config)
-        } else {
-            SgnsTrainer::resume(&config, &state)
-        };
-        let mut interrupted = false;
-        while !trainer.is_complete() {
-            trainer.run_epoch(encoded, &negatives, &mut model.input, &mut model.output);
-            if let Some(sink) = sink.as_mut() {
-                if sink(&model, &trainer.state()).is_break() {
-                    interrupted = true;
-                    break;
-                }
-            }
-        }
-        let report = trainer.report();
-        (model, report, interrupted)
+    /// An untrained model over `vocab`: seeded uniform input rows, zero
+    /// output rows.
+    pub(crate) fn fresh(vocab: Vocabulary, config: SgnsConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
+        let input = Matrix::uniform_init(vocab.len(), config.dim, &mut rng);
+        let output = Matrix::zeros(vocab.len(), config.dim);
+        Self { config, vocab, input, output }
     }
 
     /// Deep validation for deserialized models: matrix shapes must agree
@@ -325,6 +277,24 @@ impl TunableEmbedder for Word2Vec {
         if let Some(id) = self.vocab.id(term) {
             tabmeta_linalg::add_assign(self.input.row_mut(id as usize), grad);
         }
+    }
+}
+
+impl SgnsModel for Word2Vec {
+    fn sgns_config(&self) -> &SgnsConfig {
+        &self.config
+    }
+
+    fn vocab(&self) -> &Vocabulary {
+        &self.vocab
+    }
+
+    fn epoch(&mut self, run: &SgnsRun, sentences: &[Vec<u32>], st: &mut SgnsResume) {
+        run.epoch(sentences, &mut self.input, &mut self.output, st);
+    }
+
+    fn hogwild(&mut self, run: &SgnsRun, sentences: &[Vec<u32>]) -> TrainReport {
+        run.hogwild(sentences, self.input.hogwild(), self.output.hogwild())
     }
 }
 

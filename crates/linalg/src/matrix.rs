@@ -128,11 +128,13 @@ impl Matrix {
 }
 
 /// A `Sync` view over a [`Matrix`] whose elements are accessed as relaxed
-/// atomics — the storage layer of Hogwild SGNS training.
+/// atomics — the storage layer of Hogwild SGNS training. It is `Copy`, so
+/// every worker holds its own handle on the same cells.
 ///
 /// All operations use `Ordering::Relaxed`: per-element atomicity without
 /// cross-element consistency, which is the Hogwild contract (sparse,
 /// mostly-disjoint updates tolerate occasional lost writes).
+#[derive(Clone, Copy)]
 pub struct HogwildView<'a> {
     cells: &'a [AtomicU32],
     dim: usize,
@@ -168,16 +170,6 @@ impl HogwildView<'_> {
         for (o, c) in out.iter_mut().zip(self.row_cells(i)) {
             *o += f32::from_bits(c.load(Ordering::Relaxed));
         }
-    }
-
-    /// Dot product of row `i` with a thread-local vector.
-    #[inline]
-    pub fn dot_row(&self, i: usize, x: &[f32]) -> f32 {
-        let mut acc = 0.0f32;
-        for (xv, c) in x.iter().zip(self.row_cells(i)) {
-            acc += xv * f32::from_bits(c.load(Ordering::Relaxed));
-        }
-        acc
     }
 
     /// `row_i += scale · x` — the Hogwild axpy. Each element is an
@@ -281,7 +273,6 @@ mod tests {
             let mut buf = vec![0.0; 3];
             view.read_row(1, &mut buf);
             assert_eq!(buf, vec![4.0, 5.0, 6.0]);
-            assert_eq!(view.dot_row(0, &[1.0, 1.0, 1.0]), 6.0);
             view.update_row(0, 2.0, &[1.0, 0.0, 1.0]);
             view.accumulate_row(0, &mut buf);
         }

@@ -3,8 +3,8 @@
 //!
 //! Threading model — thread-per-connection, no worker pool:
 //!
-//! * an **acceptor** polls a non-blocking listener, spawning one handler
-//!   thread per connection and joining them all before it exits;
+//! * an **acceptor** blocks in `accept`, spawning one handler thread per
+//!   connection and joining them all before it exits;
 //! * each **connection handler** parses a frame and serves the request on
 //!   its own thread. Admission counts the requests waiting for a permit;
 //!   past `queue_capacity` the request gets an immediate typed
@@ -28,16 +28,16 @@
 //! is held only while counting, never across classification.
 //!
 //! Graceful shutdown drains: the flag stops admissions (typed
-//! `shutting_down`), and the acceptor joins every handler, each of which
-//! answers the request it admitted — an admitted request is never
-//! dropped.
+//! `shutting_down`), one loopback self-connect wakes the acceptor, and the
+//! acceptor joins every handler, each of which answers the request it
+//! admitted — an admitted request is never dropped.
 
 use crate::protocol::{
     self, parse_payload, read_frame, write_frame, write_message, Request, Response, Status,
     WireError,
 };
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -503,7 +503,6 @@ impl Server {
         watch: Option<PathBuf>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             permits: TrackedMutex::new(&lockorder::SERVE_PERMITS, config.workers.max(1)),
@@ -533,16 +532,14 @@ impl Server {
             std::thread::Builder::new().name("serve-acceptor".to_string()).spawn(move || {
                 let mut handlers: Vec<JoinHandle<()>> = Vec::new();
                 loop {
+                    let accepted = listener.accept();
+                    // `shutdown` wakes the blocked accept with one
+                    // self-connect; whichever connection woke it is dropped.
                     if shared.shutdown.load(Ordering::Acquire) {
                         break;
                     }
-                    match listener.accept() {
+                    match accepted {
                         Ok((stream, _)) => {
-                            // Accepted sockets must block; only the
-                            // listener polls.
-                            if stream.set_nonblocking(false).is_err() {
-                                continue;
-                            }
                             let conn_shared = Arc::clone(&shared);
                             if let Ok(handle) = std::thread::Builder::new()
                                 .name("serve-conn".to_string())
@@ -552,9 +549,8 @@ impl Server {
                             }
                             handlers.retain(|h| !h.is_finished());
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                        // A real accept error (say, out of file
+                        // descriptors): back off so it cannot spin.
                         Err(_) => std::thread::sleep(Duration::from_millis(2)),
                     }
                 }
@@ -593,6 +589,16 @@ impl Server {
     /// `Err` carries the names of any threads that panicked.
     pub fn shutdown(self) -> Result<StatsSnapshot, String> {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Wake the acceptor from its blocking accept. A listener bound to
+        // an unspecified address is reached through its family's loopback.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         let mut panicked = Vec::new();
         // The acceptor joins every connection handler, and each handler
         // answers the request it admitted before it exits.

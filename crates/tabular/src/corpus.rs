@@ -161,38 +161,20 @@ impl Corpus {
     /// [`RejectReason`], and a truncated payload snippet. Blank lines are
     /// skipped (trailing newlines are not records).
     pub fn read_jsonl<R: Read>(name: impl Into<String>, reader: R) -> Result<Corpus, IngestError> {
-        let name = name.into();
-        let mut corpus = Corpus::new(name.clone());
-        let mut r = BufReader::new(reader);
-        let mut buf = Vec::new();
-        let mut line_no = 0usize;
-        loop {
-            buf.clear();
-            let n = r.read_until(b'\n', &mut buf).map_err(|e| IngestError {
-                source: name.clone(),
-                line: Some(line_no + 1),
-                reason: RejectReason::Io,
-                detail: e.to_string(),
-                snippet: String::new(),
-            })?;
-            if n == 0 {
-                break;
+        let mut corpus = Corpus::new(name);
+        for_each_jsonl_record(&corpus.name, reader, |record| match record {
+            Ok(table) => {
+                corpus.tables.push(table);
+                Ok(())
             }
-            line_no += 1;
-            match parse_jsonl_record(&buf) {
-                Ok(None) => {}
-                Ok(Some(table)) => corpus.tables.push(table),
-                Err((reason, detail, snippet)) => {
-                    return Err(IngestError {
-                        source: name,
-                        line: Some(line_no),
-                        reason,
-                        detail,
-                        snippet,
-                    });
-                }
-            }
-        }
+            Err(QuarantinedRecord { line, reason, detail, snippet }) => Err(IngestError {
+                source: corpus.name.clone(),
+                line: Some(line),
+                reason,
+                detail,
+                snippet,
+            }),
+        })?;
         Ok(corpus)
     }
 
@@ -205,36 +187,18 @@ impl Corpus {
         name: impl Into<String>,
         reader: R,
     ) -> Result<(Corpus, QuarantineReport), IngestError> {
-        let name = name.into();
-        let mut corpus = Corpus::new(name.clone());
-        let mut report = QuarantineReport::new(name.clone());
-        let mut r = BufReader::new(reader);
-        let mut buf = Vec::new();
-        let mut line_no = 0usize;
-        loop {
-            buf.clear();
-            let n = r.read_until(b'\n', &mut buf).map_err(|e| IngestError {
-                source: name.clone(),
-                line: Some(line_no + 1),
-                reason: RejectReason::Io,
-                detail: e.to_string(),
-                snippet: String::new(),
-            })?;
-            if n == 0 {
-                break;
-            }
-            line_no += 1;
-            match parse_jsonl_record(&buf) {
-                Ok(None) => {}
-                Ok(Some(table)) => {
+        let mut corpus = Corpus::new(name);
+        let mut report = QuarantineReport::new(corpus.name.clone());
+        for_each_jsonl_record(&corpus.name, reader, |record| {
+            match record {
+                Ok(table) => {
                     corpus.tables.push(table);
                     report.accept();
                 }
-                Err((reason, detail, snippet)) => {
-                    report.reject(QuarantinedRecord { line: line_no, reason, detail, snippet });
-                }
+                Err(rejected) => report.reject(rejected),
             }
-        }
+            Ok(())
+        })?;
         report.publish_metrics();
         Ok((corpus, report))
     }
@@ -279,6 +243,42 @@ impl Corpus {
         self.tables
             .iter()
             .filter(move |t| t.truth.as_ref().is_some_and(|tr| tr.vmd_depth() >= level))
+    }
+}
+
+/// The one JSONL line loop behind both readers: hand every record of
+/// `reader` to `record` in order — the parsed table, or the rejection
+/// with its 1-based line number. Blank lines are not records. An IO
+/// failure of the reader, or the first error `record` returns, ends the
+/// loop with that error.
+fn for_each_jsonl_record<R: Read>(
+    source: &str,
+    reader: R,
+    mut record: impl FnMut(Result<Table, QuarantinedRecord>) -> Result<(), IngestError>,
+) -> Result<(), IngestError> {
+    let mut r = BufReader::new(reader);
+    let mut buf = Vec::new();
+    let mut line = 0usize;
+    loop {
+        buf.clear();
+        let n = r.read_until(b'\n', &mut buf).map_err(|e| IngestError {
+            source: source.to_string(),
+            line: Some(line + 1),
+            reason: RejectReason::Io,
+            detail: e.to_string(),
+            snippet: String::new(),
+        })?;
+        if n == 0 {
+            return Ok(());
+        }
+        line += 1;
+        match parse_jsonl_record(&buf) {
+            Ok(None) => {}
+            Ok(Some(table)) => record(Ok(table))?,
+            Err((reason, detail, snippet)) => {
+                record(Err(QuarantinedRecord { line, reason, detail, snippet }))?;
+            }
+        }
     }
 }
 

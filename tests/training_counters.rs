@@ -1,7 +1,8 @@
-//! Run-level training telemetry that holds for both table sources: the
-//! sentence counter counts each training sentence once per run, and a
-//! resumed run reports the global epoch it resumed at, fine-tune epochs
-//! included.
+//! Run-level training telemetry that holds for both table sources and
+//! both embedders: the sentence counter counts each training sentence
+//! once per run, the SGNS pair counter counts every pair either embedder
+//! trains, and a resumed run reports the global epoch it resumed at,
+//! fine-tune epochs included.
 //!
 //! The checks read process-global metrics as deltas around single runs,
 //! so they live in one test of their own binary: no other training runs
@@ -40,6 +41,10 @@ fn sentences_counter() -> u64 {
     tabmeta::obs::global().counter(names::EMBED_SENTENCES).get()
 }
 
+fn sgns_pairs_counter() -> u64 {
+    tabmeta::obs::global().counter(names::SGNS_PAIRS).get()
+}
+
 #[test]
 fn sentences_count_once_and_resume_reports_global_epoch() {
     let tables = CorpusKind::Ckg.generate(&GeneratorConfig { n_tables: 40, seed: 83 }).tables;
@@ -56,9 +61,15 @@ fn sentences_count_once_and_resume_reports_global_epoch() {
         StreamTrainOptions { shard_rows: 64, centroid_shard_tables: 16, ..Default::default() };
 
     // Passes A and B both extract every sentence; only pass A counts.
-    let before = sentences_counter();
-    let resident = Pipeline::train(&tables, &config).unwrap();
-    assert_eq!(sentences_counter() - before, resident.summary().sentences as u64);
+    // Word2Vec and CharGram train through one SGNS loop, which counts
+    // every pair it trains.
+    for config in [config.clone(), PipelineConfig::fast_chargram(83)] {
+        let (sentences, pairs) = (sentences_counter(), sgns_pairs_counter());
+        let resident = Pipeline::train(&tables, &config).unwrap();
+        assert_eq!(sentences_counter() - sentences, resident.summary().sentences as u64);
+        assert!(resident.summary().sgns_pairs > 0);
+        assert_eq!(sgns_pairs_counter() - pairs, resident.summary().sgns_pairs);
+    }
 
     let before = sentences_counter();
     let (_, streamed) =
