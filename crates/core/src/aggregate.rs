@@ -1,7 +1,7 @@
 //! Aggregated level vectors (Def. 8): one vector per table row or column,
 //! the summation of its cells' term embeddings.
 //!
-//! Two paths produce the same vectors:
+//! Three paths produce the same vectors:
 //!
 //! * [`level_vector`] / [`axis_vectors`] — the direct path: tokenize the
 //!   level's cells and accumulate term embeddings on the spot.
@@ -12,11 +12,18 @@
 //!   bit-exact copy of what `accumulate` would have added (an embedding
 //!   accumulated into a zero buffer) and the per-level add order is
 //!   unchanged, the cached path is bit-identical to the direct one.
+//! * [`TermIndex`] — the training path: every cell of one table tokenized
+//!   once and each embedding token resolved once to a term key, read
+//!   through the model on every use. Fine-tuning needs that because it
+//!   moves term vectors between pairs; the centroid fold uses it to read
+//!   both axes from one tokenization. It adds each key's vector with the
+//!   model's own arithmetic in the direct path's order, so it is
+//!   bit-identical to the direct path too.
 
 use std::collections::HashMap;
-use tabmeta_embed::TermEmbedder;
+use tabmeta_embed::{TermEmbedder, TunableEmbedder};
 use tabmeta_tabular::{Axis, Table};
-use tabmeta_text::{Token, Tokenizer};
+use tabmeta_text::{TermId, Token, Tokenizer};
 
 /// Compute the aggregated embedding of one level (row or column).
 ///
@@ -298,11 +305,162 @@ pub fn level_terms(table: &Table, axis: Axis, index: usize, tokenizer: &Tokenize
     out
 }
 
+/// How a [`TermIndex`] reaches one embedding token's vector.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum TermKey {
+    /// The model's dense vocabulary id ([`TermEmbedder::term_id`]), read
+    /// and written through the id-keyed calls.
+    Id(TermId),
+    /// A term that embeds without an id (CharGram's gram-composed
+    /// out-of-vocabulary terms, test embedders), read and written through
+    /// the string calls.
+    Text(Box<str>),
+}
+
+impl TermKey {
+    /// The key of `term`, or `None` when the term does not embed. A term
+    /// with an id embeds (the id is a vocabulary entry).
+    fn resolve<E: TermEmbedder + ?Sized>(embedder: &E, term: &str) -> Option<Self> {
+        match embedder.term_id(term) {
+            Some(id) => Some(TermKey::Id(id)),
+            None => embedder.embeds(term).then(|| TermKey::Text(term.into())),
+        }
+    }
+
+    /// Add the term's vector into `out`, as `accumulate` would.
+    fn accumulate<E: TermEmbedder + ?Sized>(&self, embedder: &E, out: &mut [f32]) {
+        match self {
+            TermKey::Id(id) => embedder.accumulate_id(*id, out),
+            TermKey::Text(term) => {
+                embedder.accumulate(term, out);
+            }
+        }
+    }
+
+    /// Apply `grad` to the term, as `apply_gradient` would.
+    pub(crate) fn apply_gradient<E: TunableEmbedder + ?Sized>(
+        &self,
+        embedder: &mut E,
+        grad: &[f32],
+    ) {
+        match self {
+            TermKey::Id(id) => embedder.apply_gradient_id(*id, grad),
+            TermKey::Text(term) => embedder.apply_gradient(term, grad),
+        }
+    }
+}
+
+/// One cell of a [`TermIndex`]: its keys `keys[start..end]` and how many
+/// tokens it holds, embeddable or not.
+#[derive(Debug, Clone, Copy)]
+struct CellTerms {
+    start: u32,
+    end: u32,
+    tokens: u32,
+}
+
+/// One table's terms for training: every non-blank cell tokenized once in
+/// row-major order, each cell's full token count, and each token that
+/// embeds resolved once to a [`TermKey`].
+///
+/// The keys name terms, not vectors: every read goes through the model,
+/// so one index serves fine-tuning, whose updates move term vectors
+/// between pairs, as well as the centroid fold. It holds one table and
+/// lives for one call, so a resident corpus and a streamed one take the
+/// same path and the out-of-core memory budget sees no corpus-wide state.
+#[derive(Debug)]
+pub(crate) struct TermIndex {
+    n_rows: usize,
+    n_cols: usize,
+    /// Per cell, row-major.
+    cells: Vec<CellTerms>,
+    keys: Vec<TermKey>,
+}
+
+impl TermIndex {
+    /// Tokenize every non-blank cell of `table` once and resolve its
+    /// embedding tokens through `embedder`.
+    pub(crate) fn build<E: TermEmbedder + ?Sized>(
+        table: &Table,
+        embedder: &E,
+        tokenizer: &Tokenizer,
+    ) -> Self {
+        let (n_rows, n_cols) = (table.n_rows(), table.n_cols());
+        let mut cells = Vec::with_capacity(n_rows * n_cols);
+        let mut keys = Vec::new();
+        let mut buf = Vec::new();
+        for r in 0..n_rows {
+            for c in 0..n_cols {
+                let cell = table.cell(r, c);
+                let start = keys.len() as u32;
+                buf.clear();
+                if !cell.is_blank() {
+                    tokenizer.tokenize_into(&cell.text, &mut buf);
+                    keys.extend(buf.iter().filter_map(|tok| TermKey::resolve(embedder, &tok.text)));
+                }
+                cells.push(CellTerms { start, end: keys.len() as u32, tokens: buf.len() as u32 });
+            }
+        }
+        Self { n_rows, n_cols, cells, keys }
+    }
+
+    /// The cells of one level in level order: left to right along a row,
+    /// top to bottom down a column.
+    fn level(&self, axis: Axis, index: usize) -> impl Iterator<Item = &CellTerms> {
+        let (n_cells, stride, base) = match axis {
+            Axis::Row => (self.n_cols, 1, index * self.n_cols),
+            Axis::Column => (self.n_rows, self.n_cols, index),
+        };
+        (0..n_cells).map(move |i| &self.cells[base + i * stride])
+    }
+
+    /// The keys of one level's embedding tokens, in level order.
+    pub(crate) fn level_keys(&self, axis: Axis, index: usize) -> impl Iterator<Item = &TermKey> {
+        self.level(axis, index).flat_map(|cell| &self.keys[cell.start as usize..cell.end as usize])
+    }
+
+    /// How many tokens one level holds, embeddable or not — the length of
+    /// [`level_terms`].
+    pub(crate) fn level_tokens(&self, axis: Axis, index: usize) -> usize {
+        self.level(axis, index).map(|cell| cell.tokens as usize).sum()
+    }
+
+    /// The aggregated vector of one level, bit-identical to
+    /// [`level_vector`] on the model as it stands: the zero buffer is
+    /// created at the first key and every key's vector added in level
+    /// order.
+    pub(crate) fn level_vector<E: TermEmbedder + ?Sized>(
+        &self,
+        axis: Axis,
+        index: usize,
+        embedder: &E,
+    ) -> Option<Vec<f32>> {
+        let mut out: Option<Vec<f32>> = None;
+        for key in self.level_keys(axis, index) {
+            key.accumulate(embedder, out.get_or_insert_with(|| vec![0.0f32; embedder.dim()]));
+        }
+        out
+    }
+
+    /// Aggregated vectors for every level along `axis` (index-aligned),
+    /// mirroring [`axis_vectors`].
+    pub(crate) fn axis_vectors<E: TermEmbedder + ?Sized>(
+        &self,
+        axis: Axis,
+        embedder: &E,
+    ) -> Vec<Option<Vec<f32>>> {
+        let n_levels = match axis {
+            Axis::Row => self.n_rows,
+            Axis::Column => self.n_cols,
+        };
+        (0..n_levels).map(|i| self.level_vector(axis, i, embedder)).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use tabmeta_embed::TunableEmbedder;
 
     #[derive(Default)]
     struct MapEmbedder {
@@ -433,6 +591,36 @@ mod tests {
             let direct_axis = axis_vectors(&t, axis, &e, &tok);
             assert_eq!(cache.axis_vectors(axis, &interner, e.dim()), direct_axis);
         }
+    }
+
+    #[test]
+    fn term_index_matches_the_direct_path() {
+        // Blank and null-marker cells, a non-blank cell with no token, an
+        // OOV word, a repeated term and multi-token cells.
+        let t = Table::from_strings(
+            1,
+            &[&["age group", "sex", "n/a", "age"], &["41", "zzz", "( )", "-"], &["", "", "", ""]],
+        );
+        let e = embedder();
+        let tok = Tokenizer::default();
+        let index = TermIndex::build(&t, &e, &tok);
+        for axis in [Axis::Row, Axis::Column] {
+            for i in 0..t.n_levels(axis) {
+                assert_eq!(index.level_vector(axis, i, &e), level_vector(&t, axis, i, &e, &tok));
+                let terms = level_terms(&t, axis, i, &tok);
+                assert_eq!(index.level_tokens(axis, i), terms.len(), "{axis:?} level {i}");
+                let embedding: Vec<TermKey> = terms
+                    .iter()
+                    .filter(|t| e.embeds(t))
+                    .map(|t| TermKey::Text(t.as_str().into()))
+                    .collect();
+                assert_eq!(index.level_keys(axis, i).cloned().collect::<Vec<_>>(), embedding);
+            }
+            assert_eq!(index.axis_vectors(axis, &e), axis_vectors(&t, axis, &e, &tok));
+        }
+        // Row 0 holds "age" twice and "group", which does not embed.
+        assert_eq!(index.level_tokens(Axis::Row, 0), 4);
+        assert_eq!(index.level_keys(Axis::Row, 0).count(), 3);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * per-level [`LevelPairStats`] — `Δ_{(k−1)MDE,kMDE}` and `Δ_{kMDE,DE}`,
 //!   the numbers the paper prints per corpus per level.
 
-use crate::aggregate::axis_vectors;
+use crate::aggregate::TermIndex;
 use crate::bootstrap::WeakLabels;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -407,9 +407,12 @@ impl ShardAccumulator {
         options: &CentroidOptions,
     ) {
         for (table, labels) in tables.iter().zip(weak) {
+            // One tokenization serves both axes; the vectors are the
+            // direct path's, bit for bit.
+            let terms = TermIndex::build(table, embedder, tokenizer);
             for (acc, axis) in [(&mut self.rows, Axis::Row), (&mut self.cols, Axis::Column)] {
                 acc.observe_table(
-                    &axis_vectors(table, axis, embedder, tokenizer),
+                    &terms.axis_vectors(axis, embedder),
                     &labels.metadata_indices(axis),
                     &labels.data_indices(axis),
                     options,

@@ -11,8 +11,14 @@
 //! (Def. 8), the cosine gradient with respect to the aggregate distributes
 //! directly onto every constituent term; we scale it by `1/n_terms` to keep
 //! per-term step sizes comparable across long and short levels.
+//!
+//! Each table is tokenized once per epoch, at its first pair, into a
+//! [`TermIndex`]; every pair of the table reads its two level vectors and
+//! writes its two gradients through that index by term key, in the order
+//! the direct path ([`level_vector`](crate::aggregate::level_vector),
+//! [`level_terms`](crate::aggregate::level_terms)) would.
 
-use crate::aggregate::{level_terms, level_vector};
+use crate::aggregate::TermIndex;
 use crate::bootstrap::WeakLabels;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -102,74 +108,66 @@ fn cosine_grad_wrt_a(a: &[f32], b: &[f32], cos: f32) -> Vec<f32> {
     g
 }
 
-/// One pair update: move the aggregates' constituent terms so the pair's
-/// cosine moves toward its target side of the margin. The pair's hinge
-/// loss (degrees past the margin; zero when satisfied) accumulates into
-/// `epoch_loss` so callers can report a loss trajectory.
+/// The update of a pair whose margin does not hold yet: its direction
+/// (`+1` pulls the pair together, `-1` pushes it apart) and the cosine
+/// gradients on its two aggregates.
+struct Step {
+    sign: f32,
+    grads: [Vec<f32>; 2],
+}
+
+/// The contrastive step on one evaluated pair's aggregates `a` and `b`:
+/// the pair's hinge loss (degrees past its margin; zero when satisfied)
+/// and its [`Step`], `None` when the margin already holds.
+fn contrast(a: &[f32], b: &[f32], positive: bool, config: &FinetuneConfig) -> (f32, Option<Step>) {
+    let cos = cosine_similarity(a, b);
+    let angle = cos.acos().to_degrees();
+    let (hinge, satisfied, sign) = if positive {
+        ((angle - config.positive_margin_deg).max(0.0), angle <= config.positive_margin_deg, 1.0)
+    } else {
+        ((config.negative_margin_deg - angle).max(0.0), angle >= config.negative_margin_deg, -1.0)
+    };
+    if satisfied {
+        return (hinge, None);
+    }
+    (
+        hinge,
+        Some(Step { sign, grads: [cosine_grad_wrt_a(a, b, cos), cosine_grad_wrt_a(b, a, cos)] }),
+    )
+}
+
+/// One pair update through the table's term index: move the aggregates'
+/// constituent terms so the pair's cosine moves toward its target side of
+/// the margin. Each level's step divides by its full token count,
+/// embeddable or not, and goes to its keys in level order (CharGram's
+/// words share gram rows, so the order is part of the result).
 ///
-/// Returns whether the pair was actually evaluated (updated or found
-/// satisfied). Blank/OOV levels yield no aggregate vector and return
-/// `false` — callers budgeting pairs must not spend budget on those.
-#[allow(clippy::too_many_arguments)]
+/// Returns the pair's hinge loss and whether it updated, or `None` when a
+/// level has no aggregate vector (blank/OOV) — callers budgeting pairs
+/// must not spend budget on those.
 fn update_pair<E: TunableEmbedder + ?Sized>(
-    table: &Table,
+    terms: &TermIndex,
     axis: Axis,
     i: usize,
     j: usize,
     positive: bool,
     config: &FinetuneConfig,
     embedder: &mut E,
-    tokenizer: &Tokenizer,
-    report: &mut FinetuneReport,
-    epoch_loss: &mut f64,
-) -> bool {
-    let (Some(a), Some(b)) = (
-        level_vector(table, axis, i, embedder, tokenizer),
-        level_vector(table, axis, j, embedder, tokenizer),
-    ) else {
-        return false;
-    };
-    let cos = cosine_similarity(&a, &b);
-    let angle = cos.acos().to_degrees();
-    let hinge = if positive {
-        (angle - config.positive_margin_deg).max(0.0)
-    } else {
-        (config.negative_margin_deg - angle).max(0.0)
-    };
-    *epoch_loss += hinge as f64;
-    let sign = if positive {
-        if angle <= config.positive_margin_deg {
-            report.satisfied += 1;
-            return true;
-        }
-        1.0
-    } else {
-        if angle >= config.negative_margin_deg {
-            report.satisfied += 1;
-            return true;
-        }
-        -1.0
-    };
-    let grad_a = cosine_grad_wrt_a(&a, &b, cos);
-    let grad_b = cosine_grad_wrt_a(&b, &a, cos);
-    for (level, grad) in [(i, grad_a), (j, grad_b)] {
-        let terms = level_terms(table, axis, level, tokenizer);
-        if terms.is_empty() {
-            continue;
-        }
-        let step = sign * config.learning_rate / terms.len() as f32;
-        let mut scaled = grad;
-        tabmeta_linalg::scale(&mut scaled, step);
-        for term in &terms {
-            embedder.apply_gradient(term, &scaled);
+) -> Option<(f32, bool)> {
+    let a = terms.level_vector(axis, i, &*embedder)?;
+    let b = terms.level_vector(axis, j, &*embedder)?;
+    let (hinge, step) = contrast(&a, &b, positive, config);
+    let updated = step.is_some();
+    if let Some(Step { sign, grads }) = step {
+        for (level, mut grad) in [i, j].into_iter().zip(grads) {
+            let n = terms.level_tokens(axis, level);
+            tabmeta_linalg::scale(&mut grad, sign * config.learning_rate / n as f32);
+            for key in terms.level_keys(axis, level) {
+                key.apply_gradient(embedder, &grad);
+            }
         }
     }
-    if positive {
-        report.positive_updates += 1;
-    } else {
-        report.negative_updates += 1;
-    }
-    true
+    Some((hinge, updated))
 }
 
 /// Run contrastive fine-tuning over weakly-labeled tables, mutating the
@@ -285,7 +283,8 @@ pub(crate) struct Epoch {
 }
 
 impl Epoch {
-    /// Tune on one weakly-labeled table.
+    /// Tune on one weakly-labeled table. Its [`TermIndex`] is built at the
+    /// first pair the epoch draws on it and serves every later one.
     pub(crate) fn tune<E: TunableEmbedder + ?Sized>(
         &mut self,
         table: &Table,
@@ -294,12 +293,38 @@ impl Epoch {
         tokenizer: &Tokenizer,
         config: &FinetuneConfig,
     ) {
+        let mut terms = None;
+        self.walk(labels, config, |axis, i, j, positive| {
+            let terms = terms.get_or_insert_with(|| TermIndex::build(table, &*embedder, tokenizer));
+            update_pair(terms, axis, i, j, positive, config, embedder)
+        });
+    }
+
+    /// Draw this epoch's pairs on one table's weak labels, in order, and
+    /// tally them: `pair(axis, i, j, positive)` evaluates one pair and
+    /// returns its hinge loss and whether it updated, or `None` when it
+    /// could not evaluate.
+    fn walk(
+        &mut self,
+        labels: &WeakLabels,
+        config: &FinetuneConfig,
+        mut pair: impl FnMut(Axis, usize, usize, bool) -> Option<(f32, bool)>,
+    ) {
         let Self { index, rng, report, loss } = self;
         for axis in [Axis::Row, Axis::Column] {
             let meta = labels.metadata_indices(axis);
             let data = labels.data_indices(axis);
             let mut update = |i: usize, j: usize, positive: bool| {
-                update_pair(table, axis, i, j, positive, config, embedder, tokenizer, report, loss)
+                let Some((hinge, updated)) = pair(axis, i, j, positive) else {
+                    return false;
+                };
+                *loss += hinge as f64;
+                match (updated, positive) {
+                    (false, _) => report.satisfied += 1,
+                    (true, true) => report.positive_updates += 1,
+                    (true, false) => report.negative_updates += 1,
+                }
+                true
             };
             // Positive: every metadata level pair (runs are ≤5 levels, so
             // this is at most 10 pairs). All-pairs rather than
@@ -516,6 +541,183 @@ mod tests {
         assert!(!interrupted);
         assert_eq!(report, base_report);
         assert_eq!(resumed.map, baseline.map, "resume must be bit-identical");
+    }
+
+    /// The pair update before the term index: both level vectors and both
+    /// levels' terms read straight from the table, every term's gradient
+    /// applied by string. It shares [`contrast`] and [`Epoch::walk`] with
+    /// [`update_pair`], so a difference between the two runs lies in how
+    /// the index reads and writes term vectors.
+    #[allow(clippy::too_many_arguments)]
+    fn direct_update_pair<E: TunableEmbedder + ?Sized>(
+        table: &Table,
+        axis: Axis,
+        i: usize,
+        j: usize,
+        positive: bool,
+        config: &FinetuneConfig,
+        embedder: &mut E,
+        tokenizer: &Tokenizer,
+    ) -> Option<(f32, bool)> {
+        use crate::aggregate::{level_terms, level_vector};
+        let (Some(a), Some(b)) = (
+            level_vector(table, axis, i, &*embedder, tokenizer),
+            level_vector(table, axis, j, &*embedder, tokenizer),
+        ) else {
+            return None;
+        };
+        let (hinge, step) = contrast(&a, &b, positive, config);
+        let updated = step.is_some();
+        if let Some(Step { sign, grads }) = step {
+            for (level, mut grad) in [i, j].into_iter().zip(grads) {
+                let terms = level_terms(table, axis, level, tokenizer);
+                if terms.is_empty() {
+                    continue;
+                }
+                tabmeta_linalg::scale(&mut grad, sign * config.learning_rate / terms.len() as f32);
+                for term in &terms {
+                    embedder.apply_gradient(term, &grad);
+                }
+            }
+        }
+        Some((hinge, updated))
+    }
+
+    /// [`run`] with [`direct_update_pair`] in place of the indexed update.
+    fn direct_run<E: TunableEmbedder + ?Sized>(
+        tables: &[Table],
+        weak: &[WeakLabels],
+        embedder: &mut E,
+        tokenizer: &Tokenizer,
+        config: &FinetuneConfig,
+    ) -> FinetuneReport {
+        let mut state = FinetuneResume::fresh(config);
+        while state.epochs_done < config.epochs {
+            state = epoch(state, |epoch| {
+                for (table, labels) in tables.iter().zip(weak) {
+                    epoch.walk(labels, config, |axis, i, j, positive| {
+                        direct_update_pair(table, axis, i, j, positive, config, embedder, tokenizer)
+                    });
+                }
+            })
+            .0;
+        }
+        state.report
+    }
+
+    /// Words the models below never train on: Word2Vec cannot embed them,
+    /// CharGram composes them from grams.
+    const UNSEEN: [&str; 3] = ["zymurgy", "quokka", "xylophonist"];
+
+    /// Tables with what the generated corpora lack at fine-tune time:
+    /// blank cells, null markers, a non-blank cell with no token, words
+    /// outside the vocabulary (one metadata row holds nothing else), a term
+    /// repeated within one level, multi-token and numeric cells.
+    fn edge_tables() -> (Vec<Table>, Vec<WeakLabels>) {
+        use crate::bootstrap::WeakLabel::{Data, Metadata};
+        let tables = vec![
+            Table::from_strings(
+                1,
+                &[
+                    &["age group", "age", "sex by age", "zymurgy"],
+                    &["total population", "", "n/a", "population count"],
+                    &["1,204", "3.5%", "-", "12"],
+                    &["2,411", "( )", "17", "quokka 4"],
+                    &["", "9.1%", "33", "1,020,331"],
+                    &["total", "12.0%", "n/a", "7"],
+                ],
+            ),
+            Table::from_strings(
+                2,
+                &[
+                    &["zymurgy", "quokka xylophonist", "-", ""],
+                    &["region", "popular vote", "population", "totals"],
+                    &["north", "41.2%", "1,204", "total 3"],
+                    &["south", "n/a", "2,411", "88"],
+                    &["east east", "12.5%", "", "-"],
+                ],
+            ),
+        ];
+        let weak = vec![
+            WeakLabels {
+                rows: vec![Metadata, Metadata, Data, Data, Data, Data],
+                columns: vec![Metadata, Metadata, Data, Data],
+                from_markup: true,
+            },
+            WeakLabels {
+                rows: vec![Metadata, Metadata, Data, Data, Data],
+                columns: vec![Metadata, Data, Data, Data],
+                from_markup: true,
+            },
+        ];
+        (tables, weak)
+    }
+
+    /// Training sentences: every row and column of the edge tables, less
+    /// the unseen words.
+    fn edge_sentences(tables: &[Table], tok: &Tokenizer) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        for _ in 0..20 {
+            for table in tables {
+                for axis in [Axis::Row, Axis::Column] {
+                    for i in 0..table.n_levels(axis) {
+                        let terms: Vec<String> = table
+                            .level_texts(axis, i)
+                            .iter()
+                            .flat_map(|text| tok.terms(text))
+                            .filter(|t| !UNSEEN.contains(&t.as_str()))
+                            .collect();
+                        out.push(terms);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn indexed_run_matches_the_direct_pair_update_bit_for_bit() {
+        use tabmeta_embed::{CharGram, CharGramConfig, SgnsConfig, Word2Vec};
+        let tok = Tokenizer::default();
+        let (tables, weak) = edge_tables();
+        let sentences = edge_sentences(&tables, &tok);
+        let config = FinetuneConfig { epochs: 5, ..Default::default() };
+
+        fn check<E: TunableEmbedder + Clone>(
+            name: &str,
+            model: E,
+            tables: &[Table],
+            weak: &[WeakLabels],
+            tok: &Tokenizer,
+            config: &FinetuneConfig,
+            to_json: impl Fn(&E) -> String,
+        ) {
+            let (mut indexed, mut direct) = (model.clone(), model.clone());
+            let report = run(tables, weak, &mut indexed, tok, config);
+            let direct_report = direct_run(tables, weak, &mut direct, tok, config);
+            assert_eq!(report, direct_report, "{name}");
+            assert!(
+                report.positive_updates > 0 && report.negative_updates > 0,
+                "{name}: {report:?}"
+            );
+            assert_ne!(to_json(&indexed), to_json(&model), "{name}: fine-tuning moved nothing");
+            assert!(to_json(&indexed) == to_json(&direct), "{name}: tuned models differ");
+        }
+
+        let w2v = Word2Vec::train(&sentences, SgnsConfig::tiny(31)).0;
+        for word in UNSEEN {
+            assert!(!w2v.embeds(word), "{word} must be out of Word2Vec's vocabulary");
+        }
+        check("word2vec", w2v, &tables, &weak, &tok, &config, Word2Vec::to_json);
+
+        let chargram = CharGram::train(&sentences, CharGramConfig::tiny(32)).0;
+        for word in UNSEEN {
+            assert!(
+                chargram.term_id(word).is_none() && chargram.embeds(word),
+                "{word} must compose from CharGram's grams"
+            );
+        }
+        check("chargram", chargram, &tables, &weak, &tok, &config, CharGram::to_json);
     }
 
     #[test]

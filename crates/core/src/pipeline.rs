@@ -57,6 +57,13 @@ impl TermEmbedder for AnyEmbedder {
         }
     }
 
+    fn accumulate_id(&self, id: tabmeta_text::TermId, out: &mut [f32]) {
+        match self {
+            AnyEmbedder::Word2Vec(m) => m.accumulate_id(id, out),
+            AnyEmbedder::CharGram(m) => m.accumulate_id(id, out),
+        }
+    }
+
     fn term_id(&self, term: &str) -> Option<tabmeta_text::TermId> {
         match self {
             AnyEmbedder::Word2Vec(m) => TermEmbedder::term_id(m, term),
@@ -77,6 +84,13 @@ impl TunableEmbedder for AnyEmbedder {
         match self {
             AnyEmbedder::Word2Vec(m) => m.apply_gradient(term, grad),
             AnyEmbedder::CharGram(m) => m.apply_gradient(term, grad),
+        }
+    }
+
+    fn apply_gradient_id(&mut self, id: tabmeta_text::TermId, grad: &[f32]) {
+        match self {
+            AnyEmbedder::Word2Vec(m) => m.apply_gradient_id(id, grad),
+            AnyEmbedder::CharGram(m) => m.apply_gradient_id(id, grad),
         }
     }
 }

@@ -203,9 +203,7 @@ impl TermEmbedder for CharGram {
 
     fn accumulate(&self, term: &str, out: &mut [f32]) -> bool {
         if let Some(id) = self.vocab.id(term) {
-            let mut v = vec![0.0; self.dim()];
-            compose_into(&self.words, &self.grams, &self.word_grams, id as usize, &mut v);
-            tabmeta_linalg::add_assign(out, &v);
+            self.accumulate_id(id, out);
             return true;
         }
         // OOV: compose from grams alone — the property BioBERT buys the
@@ -223,6 +221,12 @@ impl TermEmbedder for CharGram {
         true
     }
 
+    fn accumulate_id(&self, id: tabmeta_text::TermId, out: &mut [f32]) {
+        let mut v = vec![0.0; self.dim()];
+        compose_into(&self.words, &self.grams, &self.word_grams, id as usize, &mut v);
+        tabmeta_linalg::add_assign(out, &v);
+    }
+
     fn term_id(&self, term: &str) -> Option<tabmeta_text::TermId> {
         // Only in-vocabulary terms get an id; OOV terms embed via grams but
         // have no stable slot, so memoizing callers fall back to the string.
@@ -237,18 +241,16 @@ impl TermEmbedder for CharGram {
 impl TunableEmbedder for CharGram {
     fn apply_gradient(&mut self, term: &str, grad: &[f32]) {
         if let Some(id) = self.vocab.id(term) {
-            let mut grad = grad.to_vec();
-            spread_gradient(
-                &mut self.words,
-                &mut self.grams,
-                &self.word_grams,
-                id as usize,
-                &mut grad,
-            );
+            self.apply_gradient_id(id, grad);
         }
         // OOV terms have no trainable word slot; grams alone could be
         // nudged, but tuning unseen terms risks corrupting shared buckets,
         // so fine-tuning is restricted to vocabulary terms.
+    }
+
+    fn apply_gradient_id(&mut self, id: tabmeta_text::TermId, grad: &[f32]) {
+        let mut grad = grad.to_vec();
+        spread_gradient(&mut self.words, &mut self.grams, &self.word_grams, id as usize, &mut grad);
     }
 }
 

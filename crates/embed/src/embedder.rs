@@ -36,6 +36,20 @@ pub trait TermEmbedder {
         None
     }
 
+    /// Add the vector of the term whose [`term_id`] is `id` into `out`, with
+    /// exactly the arithmetic [`accumulate`] applies to that term — the
+    /// id-keyed read of callers that resolved a term once and reuse the id.
+    ///
+    /// Callers pass only ids this model's `term_id` returned, so a model
+    /// that keeps the default `term_id` is never asked; a model that
+    /// overrides `term_id` must override this too.
+    ///
+    /// [`term_id`]: TermEmbedder::term_id
+    /// [`accumulate`]: TermEmbedder::accumulate
+    fn accumulate_id(&self, id: tabmeta_text::TermId, _out: &mut [f32]) {
+        panic!("term id {id} passed to a model without term ids");
+    }
+
     /// Whether `term` has any representation — i.e. whether [`accumulate`]
     /// would return `true` — ideally without allocating. The default probes
     /// via [`embed`] and therefore allocates a scratch vector; real models
@@ -64,6 +78,16 @@ pub trait TunableEmbedder: TermEmbedder {
     /// Apply `grad` (already scaled by the learning rate) to `term`'s
     /// underlying parameters. No-op for OOV terms.
     fn apply_gradient(&mut self, term: &str, grad: &[f32]);
+
+    /// [`apply_gradient`] on the term whose [`TermEmbedder::term_id`] is
+    /// `id`, with exactly its arithmetic. The same contract as
+    /// [`TermEmbedder::accumulate_id`]: only ids the model returned, and a
+    /// model that overrides `term_id` overrides this too.
+    ///
+    /// [`apply_gradient`]: TunableEmbedder::apply_gradient
+    fn apply_gradient_id(&mut self, id: tabmeta_text::TermId, _grad: &[f32]) {
+        panic!("term id {id} passed to a model without term ids");
+    }
 }
 
 /// A structural or numeric defect found in an embedding model — the deep

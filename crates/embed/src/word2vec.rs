@@ -256,11 +256,15 @@ impl TermEmbedder for Word2Vec {
     fn accumulate(&self, term: &str, out: &mut [f32]) -> bool {
         match self.vocab.id(term) {
             Some(id) => {
-                tabmeta_linalg::add_assign(out, self.input.row(id as usize));
+                self.accumulate_id(id, out);
                 true
             }
             None => false,
         }
+    }
+
+    fn accumulate_id(&self, id: TermId, out: &mut [f32]) {
+        tabmeta_linalg::add_assign(out, self.input.row(id as usize));
     }
 
     fn term_id(&self, term: &str) -> Option<TermId> {
@@ -275,8 +279,12 @@ impl TermEmbedder for Word2Vec {
 impl TunableEmbedder for Word2Vec {
     fn apply_gradient(&mut self, term: &str, grad: &[f32]) {
         if let Some(id) = self.vocab.id(term) {
-            tabmeta_linalg::add_assign(self.input.row_mut(id as usize), grad);
+            self.apply_gradient_id(id, grad);
         }
+    }
+
+    fn apply_gradient_id(&mut self, id: TermId, grad: &[f32]) {
+        tabmeta_linalg::add_assign(self.input.row_mut(id as usize), grad);
     }
 }
 

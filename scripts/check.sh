@@ -5,7 +5,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
+# `stage NAME` closes the open stage with its wall-clock and opens NAME
+# under a `==>` banner; a bare `stage` closes the last one.
+STAGE=""
+STAGE_T0=0
+stage() {
+  if [ -n "$STAGE" ]; then
+    local ns=$(( $(date +%s%N) - STAGE_T0 ))
+    printf '    %s wall-clock: %d.%03ds\n' "$STAGE" \
+      $(( ns / 1000000000 )) $(( (ns / 1000000) % 1000 ))
+  fi
+  STAGE="${1:-}"
+  STAGE_T0=$(date +%s%N)
+  if [ -n "$STAGE" ]; then
+    echo "==> $STAGE"
+  fi
+}
+
+stage "cargo build --release"
 cargo build --release --offline
 
 # The vendored rayon honours RAYON_NUM_THREADS (oversubscription allowed),
@@ -19,18 +36,18 @@ cargo build --release --offline
 # path. Both runs are also the work gate (tests/artifact_pins.rs): the
 # pinned trained bytes, sentence and SGNS-pair counts, and a digest of
 # held-out classify_corpus verdicts, which splits over the rayon threads.
-echo "==> cargo test -q (RAYON_NUM_THREADS=1)"
+stage "cargo test -q (RAYON_NUM_THREADS=1)"
 RAYON_NUM_THREADS=1 cargo test -q --offline
 
 # The concurrent run is also the chaos gate: the seeded fault-injection
 # chaos suite (tests/chaos.rs) at four rayon threads.
-echo "==> cargo test -q (RAYON_NUM_THREADS=4)"
+stage "cargo test -q (RAYON_NUM_THREADS=4)"
 RAYON_NUM_THREADS=4 cargo test -q --offline
 
 # Resilience gate: the unit suites of the crates that implement the
 # panic-free data path — quarantine ingestion, degraded-mode
 # classification, and the injector itself.
-echo "==> cargo test -q (resilience: data-path crates)"
+stage "cargo test -q (resilience: data-path crates)"
 cargo test -q --offline -p tabmeta-resilience -p tabmeta-tabular -p tabmeta-core -p tabmeta-text
 
 # Crate-test gate: the root runs above build only the root package's test
@@ -43,7 +60,7 @@ cargo test -q --offline -p tabmeta-resilience -p tabmeta-tabular -p tabmeta-core
 # counting allocator compiled in (quantiles, timeline, the METRICS.md
 # sync). tabmeta-eval's experiments run in release: in debug they take
 # many minutes.
-echo "==> cargo test -q (remaining workspace crates)"
+stage "cargo test -q (remaining workspace crates)"
 cargo test -q --offline -p tabmeta-serve -p tabmeta-lint -p tabmeta-linalg -p tabmeta-embed \
   -p tabmeta-corpora -p tabmeta-baselines -p rayon -p rand -p proptest -p criterion
 cargo test -q --offline -p tabmeta-obs --features alloc-track
@@ -56,9 +73,9 @@ cargo test -q --offline --release -p tabmeta-eval
 # panics, zero dropped in-flight requests, typed well-formed responses on
 # every clean connection, bounded queue depth, and reload-spanning verdict
 # bit-identity against offline classification.
-echo "==> serve chaos (RAYON_NUM_THREADS=1)"
+stage "serve chaos (RAYON_NUM_THREADS=1)"
 TABMETA_SERVE_SOAK_SECS=30 RAYON_NUM_THREADS=1 cargo test -q --offline --release --test serve_chaos
-echo "==> serve chaos (RAYON_NUM_THREADS=4)"
+stage "serve chaos (RAYON_NUM_THREADS=4)"
 TABMETA_SERVE_SOAK_SECS=30 RAYON_NUM_THREADS=4 cargo test -q --offline --release --test serve_chaos
 
 # Benchmark smoke: perfbench (its own cargo workspace) compiles against
@@ -67,7 +84,7 @@ TABMETA_SERVE_SOAK_SECS=30 RAYON_NUM_THREADS=4 cargo test -q --offline --release
 # catches an API break or a wrong served verdict that the stages above
 # would miss. Its last line is the contract JSON and must read
 # "correct": true.
-echo "==> perfbench serve_small smoke"
+stage "perfbench serve_small smoke"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 PERF_LAST="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload serve_small --seed 3 --seconds 2 --trace 0 | tail -n 1)"
@@ -82,7 +99,7 @@ fi
 # encode), and the remainder serve.other_us must not go negative. A
 # server that decodes requests some other way than the replay does
 # fails "correct" here.
-echo "==> perfbench serve_small traced smoke"
+stage "perfbench serve_small traced smoke"
 PERF_LAST="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload serve_small --seed 3 --seconds 2 --trace 1 | tail -n 1)"
 if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
@@ -95,7 +112,7 @@ fi
 # workers, against single-table verdicts (classify.batch_equals_single),
 # same-seed set-ups against each other (classify.setups_agree), and the
 # held-out HMD1/VMD1 accuracy floors.
-echo "==> perfbench classify_bulk smoke"
+stage "perfbench classify_bulk smoke"
 PERF_LAST="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload classify_bulk --seed 3 --seconds 2 --trace 0 | tail -n 1)"
 if ! grep -q '"correct": true' <<<"$PERF_LAST"; then
@@ -111,9 +128,9 @@ fi
 # (accepted + quarantined == total), never a panic; budget spills and
 # double kills must converge to the same model. Run both sequential and
 # with the rayon extraction pool enabled.
-echo "==> shard chaos (RAYON_NUM_THREADS=1)"
+stage "shard chaos (RAYON_NUM_THREADS=1)"
 RAYON_NUM_THREADS=1 cargo test -q --offline --release --test shard_chaos
-echo "==> shard chaos (RAYON_NUM_THREADS=4)"
+stage "shard chaos (RAYON_NUM_THREADS=4)"
 RAYON_NUM_THREADS=4 cargo test -q --offline --release --test shard_chaos
 
 # Mem-budget assertion: stream-train a multi-file generated corpus dir
@@ -121,7 +138,7 @@ RAYON_NUM_THREADS=4 cargo test -q --offline --release --test shard_chaos
 # the budget is enforced, not advisory. Under a budget far below the
 # run's real peak the spill governor must fire at least once, the run
 # must still complete, and the streamed model must classify.
-echo "==> stream mem-budget assertion"
+stage "stream mem-budget assertion"
 CHECK_TMP="$(mktemp -d)"
 trap 'rm -rf "$CHECK_TMP"' EXIT
 TABMETA=target/release/tabmeta
@@ -154,30 +171,26 @@ done
 # The walk covers tests/ and examples/ too (workspace_self_check pins
 # that), not just crate sources. Exits nonzero on any violation;
 # suppressions require a written reason, and the suppression budget is
-# zero. The stage prints its own wall-clock so lint cost stays visible
-# as the analyzer grows.
-echo "==> tabmeta-lint (full tree: crates/ + src/ + tests/ + examples/)"
-LINT_T0=$(date +%s%N)
+# zero.
+stage "tabmeta-lint (full tree: crates/ + src/ + tests/ + examples/)"
 cargo run -q -p tabmeta-lint --offline -- --workspace --json
-LINT_NS=$(( $(date +%s%N) - LINT_T0 ))
-printf '    lint stage wall-clock: %d.%03ds\n' \
-  $(( LINT_NS / 1000000000 )) $(( (LINT_NS / 1000000) % 1000 ))
 
 # tabular/core/text/resilience carry crate-level
 # `#![warn(clippy::unwrap_used, clippy::expect_used)]` (tests exempt via
 # cfg_attr), so `-D warnings` below denies any unwrap/expect that sneaks
 # back into the data path. `--all-targets` lints tests, examples and
 # benches too.
-echo "==> cargo clippy --workspace --all-targets"
+stage "cargo clippy --workspace --all-targets"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo fmt --check"
+stage "cargo fmt --check"
 cargo fmt --check
 
 # Rustdoc gate: every doc comment in the workspace, vendored crates
 # included, renders without a warning (broken intra-doc links, unclosed
 # HTML tags in prose).
-echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+stage "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+stage
 
 echo "All checks passed."
