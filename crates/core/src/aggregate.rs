@@ -12,7 +12,7 @@
 //!   bit-exact copy of what `accumulate` would have added (an embedding
 //!   accumulated into a zero buffer) and the per-level add order is
 //!   unchanged, the cached path is bit-identical to the direct one.
-//! * [`TermIndex`] — the training path: every cell of one table tokenized
+//! * `TermIndex` — the training path: every cell of one table tokenized
 //!   once and each embedding token resolved once to a term key, read
 //!   through the model on every use. Fine-tuning needs that because it
 //!   moves term vectors between pairs; the centroid fold uses it to read

@@ -12,10 +12,11 @@
 //! directly onto every constituent term; we scale it by `1/n_terms` to keep
 //! per-term step sizes comparable across long and short levels.
 //!
-//! Each table is tokenized once per epoch, at its first pair, into a
-//! [`TermIndex`]; every pair of the table reads its two level vectors and
-//! writes its two gradients through that index by term key, in the order
-//! the direct path ([`level_vector`](crate::aggregate::level_vector),
+//! Each table is tokenized once per epoch, at its first pair, into an
+//! `aggregate::TermIndex`; every pair of the table reads its two level
+//! vectors and writes its two gradients through that index by term key,
+//! in the order the direct path
+//! ([`level_vector`](crate::aggregate::level_vector),
 //! [`level_terms`](crate::aggregate::level_terms)) would.
 
 use crate::aggregate::TermIndex;
