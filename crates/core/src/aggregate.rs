@@ -12,13 +12,12 @@
 //!   bit-exact copy of what `accumulate` would have added (an embedding
 //!   accumulated into a zero buffer) and the per-level add order is
 //!   unchanged, the cached path is bit-identical to the direct one.
-//! * `TermIndex` — the training path: every cell of one table tokenized
-//!   once and each embedding token resolved once to a term key, read
-//!   through the model on every use. Fine-tuning needs that because it
-//!   moves term vectors between pairs; the centroid fold uses it to read
-//!   both axes from one tokenization. It adds each key's vector with the
-//!   model's own arithmetic in the direct path's order, so it is
-//!   bit-identical to the direct path too.
+//! * `TermIndex` — the fine-tuning path: every cell of one table
+//!   tokenized once and its embedding terms resolved once to term ids,
+//!   read through the model on every use because fine-tuning moves term
+//!   vectors between pairs. It adds each term's vector with the model's
+//!   own arithmetic in the direct path's order, so it is bit-identical to
+//!   the direct path too.
 
 use std::collections::HashMap;
 use tabmeta_embed::{TermEmbedder, TunableEmbedder};
@@ -305,34 +304,21 @@ pub fn level_terms(table: &Table, axis: Axis, index: usize, tokenizer: &Tokenize
     out
 }
 
-/// How a [`TermIndex`] reaches one embedding token's vector.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TermKey {
-    /// The model's dense vocabulary id ([`TermEmbedder::term_id`]), read
-    /// and written through the id-keyed calls.
-    Id(TermId),
-    /// A term that embeds without an id (CharGram's gram-composed
-    /// out-of-vocabulary terms, test embedders), read and written through
-    /// the string calls.
-    Text(Box<str>),
+/// One embedding token of a [`TermIndex`]: its text and, where the model
+/// has one, its [`TermEmbedder::term_id`], resolved once at build.
+#[derive(Debug)]
+pub(crate) struct IndexedTerm {
+    id: Option<TermId>,
+    text: String,
 }
 
-impl TermKey {
-    /// The key of `term`, or `None` when the term does not embed. A term
-    /// with an id embeds (the id is a vocabulary entry).
-    fn resolve<E: TermEmbedder + ?Sized>(embedder: &E, term: &str) -> Option<Self> {
-        match embedder.term_id(term) {
-            Some(id) => Some(TermKey::Id(id)),
-            None => embedder.embeds(term).then(|| TermKey::Text(term.into())),
-        }
-    }
-
+impl IndexedTerm {
     /// Add the term's vector into `out`, as `accumulate` would.
     fn accumulate<E: TermEmbedder + ?Sized>(&self, embedder: &E, out: &mut [f32]) {
-        match self {
-            TermKey::Id(id) => embedder.accumulate_id(*id, out),
-            TermKey::Text(term) => {
-                embedder.accumulate(term, out);
+        match self.id {
+            Some(id) => embedder.accumulate_id(id, &self.text, out),
+            None => {
+                embedder.accumulate(&self.text, out);
             }
         }
     }
@@ -343,15 +329,15 @@ impl TermKey {
         embedder: &mut E,
         grad: &[f32],
     ) {
-        match self {
-            TermKey::Id(id) => embedder.apply_gradient_id(*id, grad),
-            TermKey::Text(term) => embedder.apply_gradient(term, grad),
+        match self.id {
+            Some(id) => embedder.apply_gradient_id(id, &self.text, grad),
+            None => embedder.apply_gradient(&self.text, grad),
         }
     }
 }
 
-/// One cell of a [`TermIndex`]: its keys `keys[start..end]` and how many
-/// tokens it holds, embeddable or not.
+/// One cell of a [`TermIndex`]: its embedding terms `terms[start..end]`
+/// and how many tokens it holds, embeddable or not.
 #[derive(Debug, Clone, Copy)]
 struct CellTerms {
     start: u32,
@@ -359,13 +345,12 @@ struct CellTerms {
     tokens: u32,
 }
 
-/// One table's terms for training: every non-blank cell tokenized once in
-/// row-major order, each cell's full token count, and each token that
-/// embeds resolved once to a [`TermKey`].
+/// One table's terms for fine-tuning: every non-blank cell tokenized once
+/// in row-major order, each cell's full token count, and the tokens that
+/// embed, each resolved once to its term id.
 ///
-/// The keys name terms, not vectors: every read goes through the model,
-/// so one index serves fine-tuning, whose updates move term vectors
-/// between pairs, as well as the centroid fold. It holds one table and
+/// It holds terms, not vectors: every read goes through the model, since
+/// fine-tuning moves term vectors between pairs. It holds one table and
 /// lives for one call, so a resident corpus and a streamed one take the
 /// same path and the out-of-core memory budget sees no corpus-wide state.
 #[derive(Debug)]
@@ -374,12 +359,12 @@ pub(crate) struct TermIndex {
     n_cols: usize,
     /// Per cell, row-major.
     cells: Vec<CellTerms>,
-    keys: Vec<TermKey>,
+    terms: Vec<IndexedTerm>,
 }
 
 impl TermIndex {
-    /// Tokenize every non-blank cell of `table` once and resolve its
-    /// embedding tokens through `embedder`.
+    /// Tokenize every non-blank cell of `table` once and keep the tokens
+    /// `embedder` embeds, with their term ids.
     pub(crate) fn build<E: TermEmbedder + ?Sized>(
         table: &Table,
         embedder: &E,
@@ -387,21 +372,27 @@ impl TermIndex {
     ) -> Self {
         let (n_rows, n_cols) = (table.n_rows(), table.n_cols());
         let mut cells = Vec::with_capacity(n_rows * n_cols);
-        let mut keys = Vec::new();
+        let mut terms = Vec::new();
         let mut buf = Vec::new();
         for r in 0..n_rows {
             for c in 0..n_cols {
                 let cell = table.cell(r, c);
-                let start = keys.len() as u32;
-                buf.clear();
+                let start = terms.len() as u32;
                 if !cell.is_blank() {
                     tokenizer.tokenize_into(&cell.text, &mut buf);
-                    keys.extend(buf.iter().filter_map(|tok| TermKey::resolve(embedder, &tok.text)));
                 }
-                cells.push(CellTerms { start, end: keys.len() as u32, tokens: buf.len() as u32 });
+                let tokens = buf.len() as u32;
+                for Token { text, .. } in buf.drain(..) {
+                    // A term with an id is a vocabulary entry, so it embeds.
+                    let id = embedder.term_id(&text);
+                    if id.is_some() || embedder.embeds(&text) {
+                        terms.push(IndexedTerm { id, text });
+                    }
+                }
+                cells.push(CellTerms { start, end: terms.len() as u32, tokens });
             }
         }
-        Self { n_rows, n_cols, cells, keys }
+        Self { n_rows, n_cols, cells, terms }
     }
 
     /// The cells of one level in level order: left to right along a row,
@@ -414,20 +405,24 @@ impl TermIndex {
         (0..n_cells).map(move |i| &self.cells[base + i * stride])
     }
 
-    /// The keys of one level's embedding tokens, in level order.
-    pub(crate) fn level_keys(&self, axis: Axis, index: usize) -> impl Iterator<Item = &TermKey> {
-        self.level(axis, index).flat_map(|cell| &self.keys[cell.start as usize..cell.end as usize])
+    /// The embedding terms of one level, in level order.
+    pub(crate) fn level_terms(
+        &self,
+        axis: Axis,
+        index: usize,
+    ) -> impl Iterator<Item = &IndexedTerm> {
+        self.level(axis, index).flat_map(|cell| &self.terms[cell.start as usize..cell.end as usize])
     }
 
     /// How many tokens one level holds, embeddable or not — the length of
-    /// [`level_terms`].
+    /// the free [`level_terms`].
     pub(crate) fn level_tokens(&self, axis: Axis, index: usize) -> usize {
         self.level(axis, index).map(|cell| cell.tokens as usize).sum()
     }
 
     /// The aggregated vector of one level, bit-identical to
     /// [`level_vector`] on the model as it stands: the zero buffer is
-    /// created at the first key and every key's vector added in level
+    /// created at the first embedding term and every term added in level
     /// order.
     pub(crate) fn level_vector<E: TermEmbedder + ?Sized>(
         &self,
@@ -436,24 +431,10 @@ impl TermIndex {
         embedder: &E,
     ) -> Option<Vec<f32>> {
         let mut out: Option<Vec<f32>> = None;
-        for key in self.level_keys(axis, index) {
-            key.accumulate(embedder, out.get_or_insert_with(|| vec![0.0f32; embedder.dim()]));
+        for term in self.level_terms(axis, index) {
+            term.accumulate(embedder, out.get_or_insert_with(|| vec![0.0f32; embedder.dim()]));
         }
         out
-    }
-
-    /// Aggregated vectors for every level along `axis` (index-aligned),
-    /// mirroring [`axis_vectors`].
-    pub(crate) fn axis_vectors<E: TermEmbedder + ?Sized>(
-        &self,
-        axis: Axis,
-        embedder: &E,
-    ) -> Vec<Option<Vec<f32>>> {
-        let n_levels = match axis {
-            Axis::Row => self.n_rows,
-            Axis::Column => self.n_cols,
-        };
-        (0..n_levels).map(|i| self.level_vector(axis, i, embedder)).collect()
     }
 }
 
@@ -609,18 +590,16 @@ mod tests {
                 assert_eq!(index.level_vector(axis, i, &e), level_vector(&t, axis, i, &e, &tok));
                 let terms = level_terms(&t, axis, i, &tok);
                 assert_eq!(index.level_tokens(axis, i), terms.len(), "{axis:?} level {i}");
-                let embedding: Vec<TermKey> = terms
-                    .iter()
-                    .filter(|t| e.embeds(t))
-                    .map(|t| TermKey::Text(t.as_str().into()))
-                    .collect();
-                assert_eq!(index.level_keys(axis, i).cloned().collect::<Vec<_>>(), embedding);
+                let embedding: Vec<&str> =
+                    terms.iter().map(String::as_str).filter(|t| e.embeds(t)).collect();
+                let indexed: Vec<&str> =
+                    index.level_terms(axis, i).map(|t| t.text.as_str()).collect();
+                assert_eq!(indexed, embedding);
             }
-            assert_eq!(index.axis_vectors(axis, &e), axis_vectors(&t, axis, &e, &tok));
         }
         // Row 0 holds "age" twice and "group", which does not embed.
         assert_eq!(index.level_tokens(Axis::Row, 0), 4);
-        assert_eq!(index.level_keys(Axis::Row, 0).count(), 3);
+        assert_eq!(index.level_terms(Axis::Row, 0).count(), 3);
     }
 
     #[test]

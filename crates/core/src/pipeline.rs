@@ -57,10 +57,10 @@ impl TermEmbedder for AnyEmbedder {
         }
     }
 
-    fn accumulate_id(&self, id: tabmeta_text::TermId, out: &mut [f32]) {
+    fn accumulate_id(&self, id: tabmeta_text::TermId, term: &str, out: &mut [f32]) {
         match self {
-            AnyEmbedder::Word2Vec(m) => m.accumulate_id(id, out),
-            AnyEmbedder::CharGram(m) => m.accumulate_id(id, out),
+            AnyEmbedder::Word2Vec(m) => m.accumulate_id(id, term, out),
+            AnyEmbedder::CharGram(m) => m.accumulate_id(id, term, out),
         }
     }
 
@@ -87,10 +87,10 @@ impl TunableEmbedder for AnyEmbedder {
         }
     }
 
-    fn apply_gradient_id(&mut self, id: tabmeta_text::TermId, grad: &[f32]) {
+    fn apply_gradient_id(&mut self, id: tabmeta_text::TermId, term: &str, grad: &[f32]) {
         match self {
-            AnyEmbedder::Word2Vec(m) => m.apply_gradient_id(id, grad),
-            AnyEmbedder::CharGram(m) => m.apply_gradient_id(id, grad),
+            AnyEmbedder::Word2Vec(m) => m.apply_gradient_id(id, term, grad),
+            AnyEmbedder::CharGram(m) => m.apply_gradient_id(id, term, grad),
         }
     }
 }

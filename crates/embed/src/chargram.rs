@@ -203,7 +203,7 @@ impl TermEmbedder for CharGram {
 
     fn accumulate(&self, term: &str, out: &mut [f32]) -> bool {
         if let Some(id) = self.vocab.id(term) {
-            self.accumulate_id(id, out);
+            self.accumulate_id(id, term, out);
             return true;
         }
         // OOV: compose from grams alone — the property BioBERT buys the
@@ -221,7 +221,7 @@ impl TermEmbedder for CharGram {
         true
     }
 
-    fn accumulate_id(&self, id: tabmeta_text::TermId, out: &mut [f32]) {
+    fn accumulate_id(&self, id: tabmeta_text::TermId, _term: &str, out: &mut [f32]) {
         let mut v = vec![0.0; self.dim()];
         compose_into(&self.words, &self.grams, &self.word_grams, id as usize, &mut v);
         tabmeta_linalg::add_assign(out, &v);
@@ -241,14 +241,14 @@ impl TermEmbedder for CharGram {
 impl TunableEmbedder for CharGram {
     fn apply_gradient(&mut self, term: &str, grad: &[f32]) {
         if let Some(id) = self.vocab.id(term) {
-            self.apply_gradient_id(id, grad);
+            self.apply_gradient_id(id, term, grad);
         }
         // OOV terms have no trainable word slot; grams alone could be
         // nudged, but tuning unseen terms risks corrupting shared buckets,
         // so fine-tuning is restricted to vocabulary terms.
     }
 
-    fn apply_gradient_id(&mut self, id: tabmeta_text::TermId, grad: &[f32]) {
+    fn apply_gradient_id(&mut self, id: tabmeta_text::TermId, _term: &str, grad: &[f32]) {
         let mut grad = grad.to_vec();
         spread_gradient(&mut self.words, &mut self.grams, &self.word_grams, id as usize, &mut grad);
     }

@@ -36,18 +36,15 @@ pub trait TermEmbedder {
         None
     }
 
-    /// Add the vector of the term whose [`term_id`] is `id` into `out`, with
-    /// exactly the arithmetic [`accumulate`] applies to that term — the
-    /// id-keyed read of callers that resolved a term once and reuse the id.
-    ///
-    /// Callers pass only ids this model's `term_id` returned, so a model
-    /// that keeps the default `term_id` is never asked; a model that
-    /// overrides `term_id` must override this too.
+    /// [`accumulate`] on `term`, whose [`term_id`] is `id`, with exactly its
+    /// arithmetic — the read of callers that resolved a term once and
+    /// reuse it. A model with term ids reads the row `id` names and skips
+    /// the vocabulary lookup; the default makes the string call.
     ///
     /// [`term_id`]: TermEmbedder::term_id
     /// [`accumulate`]: TermEmbedder::accumulate
-    fn accumulate_id(&self, id: tabmeta_text::TermId, _out: &mut [f32]) {
-        panic!("term id {id} passed to a model without term ids");
+    fn accumulate_id(&self, _id: tabmeta_text::TermId, term: &str, out: &mut [f32]) {
+        self.accumulate(term, out);
     }
 
     /// Whether `term` has any representation — i.e. whether [`accumulate`]
@@ -79,14 +76,14 @@ pub trait TunableEmbedder: TermEmbedder {
     /// underlying parameters. No-op for OOV terms.
     fn apply_gradient(&mut self, term: &str, grad: &[f32]);
 
-    /// [`apply_gradient`] on the term whose [`TermEmbedder::term_id`] is
-    /// `id`, with exactly its arithmetic. The same contract as
-    /// [`TermEmbedder::accumulate_id`]: only ids the model returned, and a
-    /// model that overrides `term_id` overrides this too.
+    /// [`apply_gradient`] on `term`, whose [`TermEmbedder::term_id`] is
+    /// `id`, with exactly its arithmetic. As with
+    /// [`TermEmbedder::accumulate_id`], a model with term ids writes the
+    /// row `id` names; the default makes the string call.
     ///
     /// [`apply_gradient`]: TunableEmbedder::apply_gradient
-    fn apply_gradient_id(&mut self, id: tabmeta_text::TermId, _grad: &[f32]) {
-        panic!("term id {id} passed to a model without term ids");
+    fn apply_gradient_id(&mut self, _id: tabmeta_text::TermId, term: &str, grad: &[f32]) {
+        self.apply_gradient(term, grad);
     }
 }
 

@@ -256,14 +256,14 @@ impl TermEmbedder for Word2Vec {
     fn accumulate(&self, term: &str, out: &mut [f32]) -> bool {
         match self.vocab.id(term) {
             Some(id) => {
-                self.accumulate_id(id, out);
+                self.accumulate_id(id, term, out);
                 true
             }
             None => false,
         }
     }
 
-    fn accumulate_id(&self, id: TermId, out: &mut [f32]) {
+    fn accumulate_id(&self, id: TermId, _term: &str, out: &mut [f32]) {
         tabmeta_linalg::add_assign(out, self.input.row(id as usize));
     }
 
@@ -279,11 +279,11 @@ impl TermEmbedder for Word2Vec {
 impl TunableEmbedder for Word2Vec {
     fn apply_gradient(&mut self, term: &str, grad: &[f32]) {
         if let Some(id) = self.vocab.id(term) {
-            self.apply_gradient_id(id, grad);
+            self.apply_gradient_id(id, term, grad);
         }
     }
 
-    fn apply_gradient_id(&mut self, id: TermId, grad: &[f32]) {
+    fn apply_gradient_id(&mut self, id: TermId, _term: &str, grad: &[f32]) {
         tabmeta_linalg::add_assign(self.input.row_mut(id as usize), grad);
     }
 }

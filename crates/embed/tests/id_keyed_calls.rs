@@ -1,8 +1,10 @@
-//! The id-keyed calls read and write exactly what the string calls do:
-//! for both models, `accumulate_id(term_id(t))` adds the bits
-//! `accumulate(t)` adds, and `apply_gradient_id` leaves the model in the
-//! bytes `apply_gradient` leaves it in — including CharGram, whose words
-//! share gram rows, over a sequence of updates.
+//! The id-keyed calls read and write exactly what the string calls do.
+//! Both models' string calls look the term's id up and then make the
+//! id-keyed call, so this holds `term_id` to the id that lookup finds and
+//! guards the routing: for both models, `accumulate_id(term_id(t), t)`
+//! adds the bits `accumulate(t)` adds, and `apply_gradient_id` leaves the
+//! model in the bytes `apply_gradient` leaves it in — CharGram, whose
+//! words share gram rows, over a sequence of updates.
 
 use tabmeta_embed::{
     CharGram, CharGramConfig, SgnsConfig, TermEmbedder, TunableEmbedder, Word2Vec,
@@ -48,7 +50,7 @@ fn check<E: TunableEmbedder + Clone>(name: &str, model: &E, to_json: impl Fn(&E)
         let id = model.term_id(term).unwrap_or_else(|| panic!("{name}: {term} has no id"));
         let (mut by_str, mut by_id) = (base(dim), base(dim));
         assert!(model.accumulate(term, &mut by_str));
-        model.accumulate_id(id, &mut by_id);
+        model.accumulate_id(id, term, &mut by_id);
         assert_eq!(bits(&by_id), bits(&by_str), "{name}: accumulate {term}");
     }
     // One update per term, in order, each with its own gradient.
@@ -56,7 +58,7 @@ fn check<E: TunableEmbedder + Clone>(name: &str, model: &E, to_json: impl Fn(&E)
     for (k, term) in TERMS.iter().enumerate() {
         let grad: Vec<f32> = (0..dim).map(|i| ((i + 3 * k) as f32 * 0.61).cos() * 0.05).collect();
         by_str.apply_gradient(term, &grad);
-        by_id.apply_gradient_id(model.term_id(term).unwrap(), &grad);
+        by_id.apply_gradient_id(model.term_id(term).unwrap(), term, &grad);
     }
     assert_ne!(to_json(&by_str), to_json(model), "{name}: the gradients moved nothing");
     assert!(to_json(&by_id) == to_json(&by_str), "{name}: apply_gradient_id differs");
