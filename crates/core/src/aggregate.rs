@@ -304,36 +304,45 @@ pub fn level_terms(table: &Table, axis: Axis, index: usize, tokenizer: &Tokenize
     out
 }
 
-/// One embedding token of a [`TermIndex`]: its text and, where the model
-/// has one, its [`TermEmbedder::term_id`], resolved once at build.
-#[derive(Debug)]
-pub(crate) struct IndexedTerm {
+/// One embedding term of a [`TermIndex`] level: its text and, where the
+/// model has one, its [`TermEmbedder::term_id`], resolved once at build.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IndexedTerm<'a> {
     id: Option<TermId>,
-    text: String,
+    text: &'a str,
 }
 
-impl IndexedTerm {
+impl IndexedTerm<'_> {
     /// Add the term's vector into `out`, as `accumulate` would.
-    fn accumulate<E: TermEmbedder + ?Sized>(&self, embedder: &E, out: &mut [f32]) {
+    fn accumulate<E: TermEmbedder + ?Sized>(self, embedder: &E, out: &mut [f32]) {
         match self.id {
-            Some(id) => embedder.accumulate_id(id, &self.text, out),
+            Some(id) => embedder.accumulate_id(id, self.text, out),
             None => {
-                embedder.accumulate(&self.text, out);
+                embedder.accumulate(self.text, out);
             }
         }
     }
 
     /// Apply `grad` to the term, as `apply_gradient` would.
     pub(crate) fn apply_gradient<E: TunableEmbedder + ?Sized>(
-        &self,
+        self,
         embedder: &mut E,
         grad: &[f32],
     ) {
         match self.id {
-            Some(id) => embedder.apply_gradient_id(id, &self.text, grad),
-            None => embedder.apply_gradient(&self.text, grad),
+            Some(id) => embedder.apply_gradient_id(id, self.text, grad),
+            None => embedder.apply_gradient(self.text, grad),
         }
     }
+}
+
+/// Where one embedding term of a [`TermIndex`] lies: its id and its text's
+/// span of the index's text buffer.
+#[derive(Debug, Clone, Copy)]
+struct TermSlot {
+    id: Option<TermId>,
+    start: u32,
+    end: u32,
 }
 
 /// One cell of a [`TermIndex`]: its embedding terms `terms[start..end]`
@@ -359,7 +368,9 @@ pub(crate) struct TermIndex {
     n_cols: usize,
     /// Per cell, row-major.
     cells: Vec<CellTerms>,
-    terms: Vec<IndexedTerm>,
+    terms: Vec<TermSlot>,
+    /// Every embedding term's text, back to back.
+    text: String,
 }
 
 impl TermIndex {
@@ -372,27 +383,30 @@ impl TermIndex {
     ) -> Self {
         let (n_rows, n_cols) = (table.n_rows(), table.n_cols());
         let mut cells = Vec::with_capacity(n_rows * n_cols);
-        let mut terms = Vec::new();
+        let (mut terms, mut text) = (Vec::new(), String::new());
         let mut buf = Vec::new();
         for r in 0..n_rows {
             for c in 0..n_cols {
                 let cell = table.cell(r, c);
                 let start = terms.len() as u32;
+                buf.clear();
                 if !cell.is_blank() {
                     tokenizer.tokenize_into(&cell.text, &mut buf);
                 }
-                let tokens = buf.len() as u32;
-                for Token { text, .. } in buf.drain(..) {
+                for tok in &buf {
                     // A term with an id is a vocabulary entry, so it embeds.
-                    let id = embedder.term_id(&text);
-                    if id.is_some() || embedder.embeds(&text) {
-                        terms.push(IndexedTerm { id, text });
+                    let id = embedder.term_id(&tok.text);
+                    if id.is_some() || embedder.embeds(&tok.text) {
+                        let start = text.len() as u32;
+                        text.push_str(&tok.text);
+                        terms.push(TermSlot { id, start, end: text.len() as u32 });
                     }
                 }
+                let tokens = buf.len() as u32;
                 cells.push(CellTerms { start, end: terms.len() as u32, tokens });
             }
         }
-        Self { n_rows, n_cols, cells, terms }
+        Self { n_rows, n_cols, cells, terms, text }
     }
 
     /// The cells of one level in level order: left to right along a row,
@@ -410,8 +424,10 @@ impl TermIndex {
         &self,
         axis: Axis,
         index: usize,
-    ) -> impl Iterator<Item = &IndexedTerm> {
-        self.level(axis, index).flat_map(|cell| &self.terms[cell.start as usize..cell.end as usize])
+    ) -> impl Iterator<Item = IndexedTerm<'_>> {
+        self.level(axis, index)
+            .flat_map(|cell| &self.terms[cell.start as usize..cell.end as usize])
+            .map(|t| IndexedTerm { id: t.id, text: &self.text[t.start as usize..t.end as usize] })
     }
 
     /// How many tokens one level holds, embeddable or not — the length of
@@ -592,8 +608,7 @@ mod tests {
                 assert_eq!(index.level_tokens(axis, i), terms.len(), "{axis:?} level {i}");
                 let embedding: Vec<&str> =
                     terms.iter().map(String::as_str).filter(|t| e.embeds(t)).collect();
-                let indexed: Vec<&str> =
-                    index.level_terms(axis, i).map(|t| t.text.as_str()).collect();
+                let indexed: Vec<&str> = index.level_terms(axis, i).map(|t| t.text).collect();
                 assert_eq!(indexed, embedding);
             }
         }
