@@ -304,38 +304,6 @@ pub fn level_terms(table: &Table, axis: Axis, index: usize, tokenizer: &Tokenize
     out
 }
 
-/// One embedding term of a [`TermIndex`] level: its text and, where the
-/// model has one, its [`TermEmbedder::term_id`], resolved once at build.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IndexedTerm<'a> {
-    id: Option<TermId>,
-    text: &'a str,
-}
-
-impl IndexedTerm<'_> {
-    /// Add the term's vector into `out`, as `accumulate` would.
-    fn accumulate<E: TermEmbedder + ?Sized>(self, embedder: &E, out: &mut [f32]) {
-        match self.id {
-            Some(id) => embedder.accumulate_id(id, self.text, out),
-            None => {
-                embedder.accumulate(self.text, out);
-            }
-        }
-    }
-
-    /// Apply `grad` to the term, as `apply_gradient` would.
-    pub(crate) fn apply_gradient<E: TunableEmbedder + ?Sized>(
-        self,
-        embedder: &mut E,
-        grad: &[f32],
-    ) {
-        match self.id {
-            Some(id) => embedder.apply_gradient_id(id, self.text, grad),
-            None => embedder.apply_gradient(self.text, grad),
-        }
-    }
-}
-
 /// Where one embedding term of a [`TermIndex`] lies: its id and its text's
 /// span of the index's text buffer.
 #[derive(Debug, Clone, Copy)]
@@ -419,15 +387,16 @@ impl TermIndex {
         (0..n_cells).map(move |i| &self.cells[base + i * stride])
     }
 
-    /// The embedding terms of one level, in level order.
-    pub(crate) fn level_terms(
+    /// The embedding terms of one level, in level order: each term's id,
+    /// where the model has one, and its text.
+    fn level_terms(
         &self,
         axis: Axis,
         index: usize,
-    ) -> impl Iterator<Item = IndexedTerm<'_>> {
+    ) -> impl Iterator<Item = (Option<TermId>, &str)> {
         self.level(axis, index)
             .flat_map(|cell| &self.terms[cell.start as usize..cell.end as usize])
-            .map(|t| IndexedTerm { id: t.id, text: &self.text[t.start as usize..t.end as usize] })
+            .map(|t| (t.id, &self.text[t.start as usize..t.end as usize]))
     }
 
     /// How many tokens one level holds, embeddable or not — the length of
@@ -447,10 +416,33 @@ impl TermIndex {
         embedder: &E,
     ) -> Option<Vec<f32>> {
         let mut out: Option<Vec<f32>> = None;
-        for term in self.level_terms(axis, index) {
-            term.accumulate(embedder, out.get_or_insert_with(|| vec![0.0f32; embedder.dim()]));
+        for (id, term) in self.level_terms(axis, index) {
+            let buf = out.get_or_insert_with(|| vec![0.0f32; embedder.dim()]);
+            match id {
+                Some(id) => embedder.accumulate_id(id, term, buf),
+                None => {
+                    embedder.accumulate(term, buf);
+                }
+            }
         }
         out
+    }
+
+    /// Apply `grad` to every embedding term of one level in level order,
+    /// as `apply_gradient` on each term would.
+    pub(crate) fn apply_gradient<E: TunableEmbedder + ?Sized>(
+        &self,
+        axis: Axis,
+        index: usize,
+        embedder: &mut E,
+        grad: &[f32],
+    ) {
+        for (id, term) in self.level_terms(axis, index) {
+            match id {
+                Some(id) => embedder.apply_gradient_id(id, term, grad),
+                None => embedder.apply_gradient(term, grad),
+            }
+        }
     }
 }
 
@@ -608,7 +600,7 @@ mod tests {
                 assert_eq!(index.level_tokens(axis, i), terms.len(), "{axis:?} level {i}");
                 let embedding: Vec<&str> =
                     terms.iter().map(String::as_str).filter(|t| e.embeds(t)).collect();
-                let indexed: Vec<&str> = index.level_terms(axis, i).map(|t| t.text).collect();
+                let indexed: Vec<&str> = index.level_terms(axis, i).map(|(_, t)| t).collect();
                 assert_eq!(indexed, embedding);
             }
         }

@@ -163,9 +163,7 @@ fn update_pair<E: TunableEmbedder + ?Sized>(
         for (level, mut grad) in [i, j].into_iter().zip(grads) {
             let n = terms.level_tokens(axis, level);
             tabmeta_linalg::scale(&mut grad, sign * config.learning_rate / n as f32);
-            for term in terms.level_terms(axis, level) {
-                term.apply_gradient(embedder, &grad);
-            }
+            terms.apply_gradient(axis, level, embedder, &grad);
         }
     }
     Some((hinge, updated))
