@@ -160,19 +160,33 @@ fn sweep_tables(sizes: &[(usize, usize)], seed: u64) -> Vec<Vec<Table>> {
         .collect()
 }
 
-/// Noise-robust per-table latency: best of three passes (the minimum is
-/// the standard estimator under scheduler contention).
-fn time_per_table<F: FnMut(&Table)>(tables: &[Table], mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let (_, elapsed) = timed(names::SPAN_EVAL_INFERENCE_PASS, || {
-            for t in tables {
-                f(t);
+/// Noise-robust per-table latency of each table set: the best of five
+/// passes (the minimum is the standard estimator under scheduler
+/// contention). Each pass repeats its set until it has run for at least
+/// 20 ms, so it outlasts a scheduler time slice even when one sweep takes
+/// under a millisecond, and the five rounds visit every set in turn, so
+/// a stretch of contention longer than a pass slows one round of each
+/// set rather than every pass of one.
+fn time_per_table<F: FnMut(&Table)>(sets: &[Vec<Table>], mut f: F) -> Vec<f64> {
+    const PASSES: usize = 5;
+    const MIN_PASS_SECS: f64 = 0.020;
+    let mut best = vec![f64::INFINITY; sets.len()];
+    for _ in 0..PASSES {
+        for (tables, best) in sets.iter().zip(&mut best) {
+            let (mut secs, mut sweeps) = (0.0, 0);
+            while secs < MIN_PASS_SECS {
+                let (_, elapsed) = timed(names::SPAN_EVAL_INFERENCE_PASS, || {
+                    for t in tables {
+                        f(t);
+                    }
+                });
+                secs += elapsed.as_secs_f64();
+                sweeps += 1;
             }
-        });
-        best = best.min(elapsed.as_secs_f64());
+            *best = best.min(secs / (sweeps * tables.len()) as f64);
+        }
     }
-    best / tables.len() as f64
+    best
 }
 
 /// The inference scaling experiment: per-table seconds vs table size for
@@ -185,11 +199,9 @@ pub fn inference_scaling(config: &ExperimentConfig) -> Vec<ScalingResult> {
 
     let mut out = Vec::new();
     let mut measure = |name: &str, f: &mut dyn FnMut(&Table)| {
-        let mut points = Vec::new();
-        for tables in &buckets {
-            let cells = tables[0].n_cells();
-            points.push((cells, time_per_table(tables, &mut *f)));
-        }
+        let seconds = time_per_table(&buckets, f);
+        let points: Vec<(usize, f64)> =
+            buckets.iter().map(|tables| tables[0].n_cells()).zip(seconds).collect();
         let pairs: Vec<(f64, f64)> = points.iter().map(|(c, s)| (*c as f64, *s)).collect();
         let fit = linear_fit(&pairs).expect("sweep has distinct sizes");
         out.push(ScalingResult { method: name.to_string(), points, fit });
@@ -237,19 +249,20 @@ pub fn hybrid_routing(config: &ExperimentConfig) -> (f64, f64, f64) {
     // about the unamortized cost of one table. The pooled warm path
     // (perfbench's `classify_bulk`) undercuts Pytheas at this scale, which
     // is a property of our memoization, not of the paper's cost model.
-    let ours_only = time_per_table(&corpus.tables, |t| {
+    let tables = std::slice::from_ref(&corpus.tables);
+    let ours_only = time_per_table(tables, |t| {
         let mut scratch = methods.ours.classify_scratch();
         let _ = methods.ours.classify_with_scratch(t, &mut scratch);
-    });
+    })[0];
     let routed_cheap = corpus.tables.iter().filter(|t| !complex(t)).count();
-    let hybrid = time_per_table(&corpus.tables, |t| {
+    let hybrid = time_per_table(tables, |t| {
         if complex(t) {
             let mut scratch = methods.ours.classify_scratch();
             let _ = methods.ours.classify_with_scratch(t, &mut scratch);
         } else {
             let _ = methods.pytheas.classify_table(t);
         }
-    });
+    })[0];
     (hybrid, ours_only, routed_cheap as f64 / corpus.tables.len() as f64)
 }
 

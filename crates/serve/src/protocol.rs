@@ -7,9 +7,13 @@
 //! the typed [`Status`] enum whose `as_str` values double as the
 //! `serve.rejected.<reason>` metric suffixes.
 //!
-//! Payloads are parsed through [`Decode`]: a [`Request`] is read by the
-//! tree-free table reader ([`tabmeta_tabular::json`]), which accepts and
-//! rejects what serde would; a [`Response`] goes through `serde_json`.
+//! Payloads are parsed through [`Decode`] and written through [`Encode`].
+//! Both messages are read by the tree-free reader
+//! ([`tabmeta_tabular::json`]), which accepts and rejects what their serde
+//! derives would. A [`Response`] is written straight to JSON text, byte
+//! for byte what `serde_json` writes for it; a [`Request`] is written
+//! through `serde_json`. The serde derives stay as the reference that
+//! `tests/response_codec.rs` and the unit tests hold the codec to.
 //!
 //! Framing errors are typed ([`WireError`]) and distinguish a clean
 //! close from a mid-frame truncation, a declared length above the
@@ -18,10 +22,11 @@
 //! other I/O failure.
 
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
-use tabmeta_core::classifier::Verdict;
-use tabmeta_tabular::json::{self, required, Reader};
-use tabmeta_tabular::Table;
+use tabmeta_core::classifier::{DegradeReason, Provenance, Verdict};
+use tabmeta_tabular::json::{self, required, ReadError, Reader};
+use tabmeta_tabular::{LevelLabel, Table};
 
 /// Default upper bound on a frame payload, generous for batch requests.
 pub const MAX_FRAME_BYTES_DEFAULT: u32 = 8 * 1024 * 1024;
@@ -159,6 +164,19 @@ pub trait Decode: Sized {
     fn decode(text: &str) -> Result<Self, String>;
 }
 
+/// A message [`write_message`] can frame as one UTF-8 JSON payload.
+pub trait Encode {
+    /// The JSON text of `self`; the error is a human-readable detail.
+    fn encode(&self) -> Result<String, String>;
+}
+
+impl Encode for Request {
+    /// Through `serde_json`, so request bytes are the derive's.
+    fn encode(&self) -> Result<String, String> {
+        serde_json::to_string(self).map_err(|e| e.to_string())
+    }
+}
+
 impl Decode for Request {
     /// Reads `{"id": u64, "tables": [Table, ...]}` with the table reader:
     /// unknown keys are skipped, the first of repeated keys wins, and
@@ -258,9 +276,185 @@ pub struct Response {
 }
 
 impl Decode for Response {
+    /// Reads what `Response`'s serde derive reads, with the table reader:
+    /// unknown keys are skipped, the first of repeated keys wins, and
+    /// every field is required.
     fn decode(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
+        json::from_str(text, |r| {
+            let (mut id, mut status, mut detail, mut retry_after_ms) = (None, None, None, None);
+            let (mut model_fingerprint, mut verdicts) = (None, None);
+            r.object(|r, key| {
+                match key {
+                    "id" if id.is_none() => id = Some(r.int()?),
+                    "status" if status.is_none() => status = Some(r.string_value()?),
+                    "detail" if detail.is_none() => detail = Some(r.string_value()?),
+                    "retry_after_ms" if retry_after_ms.is_none() => {
+                        retry_after_ms = Some(r.int()?);
+                    }
+                    "model_fingerprint" if model_fingerprint.is_none() => {
+                        model_fingerprint = Some(r.string_value()?);
+                    }
+                    "verdicts" if verdicts.is_none() => verdicts = Some(r.seq(read_verdict)?),
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+            Ok(Response {
+                id: required(id, "id")?,
+                status: required(status, "status")?,
+                detail: required(detail, "detail")?,
+                retry_after_ms: required(retry_after_ms, "retry_after_ms")?,
+                model_fingerprint: required(model_fingerprint, "model_fingerprint")?,
+                verdicts: required(verdicts, "verdicts")?,
+            })
+        })
+        .map_err(|e| e.to_string())
     }
+}
+
+impl Encode for Response {
+    /// Writes the text `serde_json::to_string` writes for the derive,
+    /// without building its value tree.
+    fn encode(&self) -> Result<String, String> {
+        let mut out = String::with_capacity(128 + 256 * self.verdicts.len());
+        let _ = write!(out, r#"{{"id":{},"status":"#, self.id);
+        push_string(&mut out, &self.status);
+        out.push_str(r#","detail":"#);
+        push_string(&mut out, &self.detail);
+        let _ = write!(out, r#","retry_after_ms":{},"model_fingerprint":"#, self.retry_after_ms);
+        push_string(&mut out, &self.model_fingerprint);
+        out.push_str(r#","verdicts":["#);
+        for (i, verdict) in self.verdicts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(r#"{"rows":"#);
+            push_labels(&mut out, &verdict.rows);
+            out.push_str(r#","columns":"#);
+            push_labels(&mut out, &verdict.columns);
+            let _ = write!(
+                out,
+                r#","hmd_depth":{},"vmd_depth":{},"row_provenance":"#,
+                verdict.hmd_depth, verdict.vmd_depth
+            );
+            push_provenance(&mut out, verdict.row_provenance);
+            out.push_str(r#","col_provenance":"#);
+            push_provenance(&mut out, verdict.col_provenance);
+            out.push('}');
+        }
+        out.push_str("]}");
+        Ok(out)
+    }
+}
+
+/// A JSON string with the `serde_json` stub's escapes.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn push_labels(out: &mut String, labels: &[LevelLabel]) {
+    out.push('[');
+    for (i, label) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = match label {
+            LevelLabel::Hmd(level) => write!(out, r#"{{"Hmd":{level}}}"#),
+            LevelLabel::Vmd(level) => write!(out, r#"{{"Vmd":{level}}}"#),
+            LevelLabel::Cmd => out.write_str(r#""Cmd""#),
+            LevelLabel::Data => out.write_str(r#""Data""#),
+        };
+    }
+    out.push(']');
+}
+
+fn push_provenance(out: &mut String, provenance: Provenance) {
+    match provenance {
+        Provenance::Walk => out.push_str(r#""Walk""#),
+        Provenance::Degraded(reason) => {
+            out.push_str(r#"{"Degraded":""#);
+            out.push_str(reason_name(reason));
+            out.push_str(r#""}"#);
+        }
+    }
+}
+
+/// The derive's name for `reason`: its variant name, not
+/// [`DegradeReason::as_str`].
+fn reason_name(reason: DegradeReason) -> &'static str {
+    match reason {
+        DegradeReason::UnusableCentroids => "UnusableCentroids",
+        DegradeReason::SingleLevel => "SingleLevel",
+        DegradeReason::NoSignal => "NoSignal",
+        DegradeReason::NonFinite => "NonFinite",
+        DegradeReason::ModelMismatch => "ModelMismatch",
+    }
+}
+
+/// The inverse of [`reason_name`].
+fn reason_named(name: &str) -> Option<DegradeReason> {
+    Some(match name {
+        "UnusableCentroids" => DegradeReason::UnusableCentroids,
+        "SingleLevel" => DegradeReason::SingleLevel,
+        "NoSignal" => DegradeReason::NoSignal,
+        "NonFinite" => DegradeReason::NonFinite,
+        "ModelMismatch" => DegradeReason::ModelMismatch,
+        _ => return None,
+    })
+}
+
+/// `"Walk"` or `{"Degraded": reason}`.
+fn read_provenance(r: &mut Reader<'_>) -> Result<Provenance, ReadError> {
+    r.variant(
+        |name| (name == "Walk").then_some(Provenance::Walk),
+        |r, name| {
+            (name == "Degraded")
+                .then(|| r.variant(reason_named, |_, _| None).map(Provenance::Degraded))
+        },
+    )
+}
+
+fn read_verdict(r: &mut Reader<'_>) -> Result<Verdict, ReadError> {
+    let (mut rows, mut columns, mut hmd_depth, mut vmd_depth) = (None, None, None, None);
+    let (mut row_provenance, mut col_provenance) = (None, None);
+    r.object(|r, key| {
+        match key {
+            "rows" if rows.is_none() => rows = Some(r.seq(Reader::label)?),
+            "columns" if columns.is_none() => columns = Some(r.seq(Reader::label)?),
+            "hmd_depth" if hmd_depth.is_none() => hmd_depth = Some(r.int()?),
+            "vmd_depth" if vmd_depth.is_none() => vmd_depth = Some(r.int()?),
+            "row_provenance" if row_provenance.is_none() => {
+                row_provenance = Some(read_provenance(r)?);
+            }
+            "col_provenance" if col_provenance.is_none() => {
+                col_provenance = Some(read_provenance(r)?);
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(Verdict {
+        rows: required(rows, "rows")?,
+        columns: required(columns, "columns")?,
+        hmd_depth: required(hmd_depth, "hmd_depth")?,
+        vmd_depth: required(vmd_depth, "vmd_depth")?,
+        row_provenance: required(row_provenance, "row_provenance")?,
+        col_provenance: required(col_provenance, "col_provenance")?,
+    })
 }
 
 impl Response {
@@ -306,10 +500,9 @@ impl Response {
     }
 }
 
-/// Serialize `value` and frame it onto `stream`.
-pub fn write_message<T: Serialize>(stream: &mut impl Write, value: &T) -> Result<(), WireError> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| WireError::Io { detail: format!("serialize: {e}") })?;
+/// Encode `value` and frame it onto `stream`.
+pub fn write_message<T: Encode>(stream: &mut impl Write, value: &T) -> Result<(), WireError> {
+    let json = value.encode().map_err(|e| WireError::Io { detail: format!("serialize: {e}") })?;
     write_frame(stream, json.as_bytes())
 }
 

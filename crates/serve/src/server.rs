@@ -33,7 +33,7 @@
 //! admitted — an admitted request is never dropped.
 
 use crate::protocol::{
-    self, parse_payload, read_frame, write_frame, write_message, Request, Response, Status,
+    self, parse_payload, read_frame, write_frame, write_message, Encode, Request, Response, Status,
     WireError,
 };
 use std::io::Write as _;
@@ -421,9 +421,9 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
             Ok(request) => shared.serve(request),
         };
         // Encoded and framed here rather than by `write_message`, so the
-        // two stages are timed apart.
+        // two stages are timed apart; both use the same `Encode`.
         let encode_micros = clock::monotonic_micros();
-        let encoded = serde_json::to_string(&response);
+        let encoded = response.encode();
         let write_micros = clock::monotonic_micros();
         if !encoded.is_ok_and(|json| write_frame(&mut stream, json.as_bytes()).is_ok()) {
             shared.stats.wire_io.fetch_add(1, Ordering::Relaxed);

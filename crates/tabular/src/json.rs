@@ -2,11 +2,13 @@
 //!
 //! [`Reader`] is a pull reader over one UTF-8 JSON document: callers ask
 //! for the value they expect next (an object, an array, an integer, a
-//! [`Table`]) and it decodes that value straight from the text, without
-//! first building a generic value tree. Every runtime path that decodes a
-//! table goes through it — JSONL ingest ([`crate::Corpus::read_jsonl`],
-//! lossy ingest, [`crate::ShardReader`]) and the serve request decoder,
-//! which drives a [`Reader`] over its own `Request` object.
+//! [`Table`], a [`LevelLabel`]) and it decodes that value straight from
+//! the text, without first building a generic value tree. Every runtime
+//! path that decodes a table goes through it — JSONL ingest
+//! ([`crate::Corpus::read_jsonl`], lossy ingest, [`crate::ShardReader`])
+//! and the serve request decoder, which drives a [`Reader`] over its own
+//! `Request` object. The serve response decoder drives one too, over the
+//! verdicts' labels and provenances.
 //!
 //! It accepts and rejects exactly what the vendored `serde_json` stub and
 //! `Table`'s `Deserialize` accept and reject, and decodes the same
@@ -25,6 +27,10 @@
 //! * a decoded grid goes through the one table validation,
 //!   `TryFrom<TableWire>`.
 //!
+//! Most cells carry no markup, and the serializer writes their markup
+//! object as one fixed text. The reader matches that text in one compare
+//! and reads any other spelling through the general object loop.
+//!
 //! Errors are typed ([`ReadError`]): text that is not JSON is
 //! [`ReadError::Malformed`], JSON of the wrong shape is
 //! [`ReadError::Shape`]. The classification covers the whole text: a
@@ -38,6 +44,9 @@ use std::borrow::Cow;
 /// Deepest value nesting the reader accepts (the root value is depth 0),
 /// the same limit as the `serde_json` stub.
 const MAX_DEPTH: usize = 128;
+
+/// The serializer's text for a plain [`Markup`] (every cue off).
+const PLAIN_MARKUP: &[u8] = br#"{"th":false,"thead":false,"bold":false,"indent":0}"#;
 
 /// Why a document did not decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,14 +133,17 @@ impl<'a> Reader<'a> {
         Reader { text, pos: 0, depth: 0 }
     }
 
+    #[cold]
     fn malformed(&self, what: &str) -> ReadError {
         ReadError::Malformed(format!("{what} at byte {}", self.pos))
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
@@ -140,6 +152,7 @@ impl<'a> Reader<'a> {
 
     /// Begin a value: enforce the depth limit, skip whitespace, and
     /// return the value's first byte.
+    #[inline]
     fn start(&mut self) -> Result<Option<u8>, ReadError> {
         if self.depth > MAX_DEPTH {
             return Err(self.malformed("nesting deeper than 128"));
@@ -148,6 +161,7 @@ impl<'a> Reader<'a> {
         Ok(self.peek())
     }
 
+    #[inline]
     fn eat(&mut self, byte: u8) -> Result<(), ReadError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -216,6 +230,16 @@ impl<'a> Reader<'a> {
     /// Read an array, decoding each item with `item`.
     pub fn seq<T>(
         &mut self,
+        item: impl FnMut(&mut Self) -> Result<T, ReadError>,
+    ) -> Result<Vec<T>, ReadError> {
+        self.seq_with_capacity(0, item)
+    }
+
+    /// [`seq`](Self::seq) into a vector that starts with room for
+    /// `capacity` items.
+    fn seq_with_capacity<T>(
+        &mut self,
+        capacity: usize,
         mut item: impl FnMut(&mut Self) -> Result<T, ReadError>,
     ) -> Result<Vec<T>, ReadError> {
         if self.start()? != Some(b'[') {
@@ -223,7 +247,7 @@ impl<'a> Reader<'a> {
         }
         self.pos += 1;
         self.depth += 1;
-        let mut items = Vec::new();
+        let mut items = Vec::with_capacity(capacity);
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
@@ -281,7 +305,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn string_value(&mut self) -> Result<String, ReadError> {
+    /// Read a string value.
+    pub fn string_value(&mut self) -> Result<String, ReadError> {
         if self.start()? != Some(b'"') {
             return Err(shape("expected string"));
         }
@@ -408,7 +433,14 @@ impl<'a> Reader<'a> {
                 "id" if id.is_none() => id = Some(field(key, r.int())?),
                 "caption" if caption.is_none() => caption = Some(field(key, r.string_value())?),
                 "cells" if cells.is_none() => {
-                    cells = Some(field(key, r.seq(|r| r.seq(Reader::cell)))?);
+                    // Rows are usually as wide as the one before.
+                    let mut width = 0;
+                    let grid = r.seq(|r| {
+                        let row = r.seq_with_capacity(width, Reader::cell)?;
+                        width = row.len();
+                        Ok(row)
+                    });
+                    cells = Some(field(key, grid)?);
                 }
                 "truth" if truth.is_none() => truth = Some(field(key, r.truth())?),
                 "has_markup" if has_markup.is_none() => {
@@ -442,6 +474,19 @@ impl<'a> Reader<'a> {
     }
 
     fn markup(&mut self) -> Result<Markup, ReadError> {
+        // The literal's values sit one level below its object, so it
+        // reads as the loop below would only while that level is allowed.
+        if self.start()? == Some(b'{')
+            && self.depth < MAX_DEPTH
+            && self
+                .text
+                .as_bytes()
+                .get(self.pos..)
+                .is_some_and(|rest| rest.starts_with(PLAIN_MARKUP))
+        {
+            self.pos += PLAIN_MARKUP.len();
+            return Ok(Markup::none());
+        }
         let (mut th, mut thead, mut bold, mut indent) = (None, None, None, None);
         self.object(|r, key| {
             match key {
@@ -484,29 +529,44 @@ impl<'a> Reader<'a> {
     }
 
     /// `"Cmd"`, `"Data"`, or a one-entry object `{"Hmd": k}` / `{"Vmd": k}`.
-    fn label(&mut self) -> Result<LevelLabel, ReadError> {
+    pub fn label(&mut self) -> Result<LevelLabel, ReadError> {
+        self.variant(
+            |name| match name {
+                "Cmd" => Some(LevelLabel::Cmd),
+                "Data" => Some(LevelLabel::Data),
+                _ => None,
+            },
+            |r, name| match name {
+                "Hmd" => Some(r.int().map(LevelLabel::Hmd)),
+                "Vmd" => Some(r.int().map(LevelLabel::Vmd)),
+                _ => None,
+            },
+        )
+    }
+
+    /// Read an enum value as the serde derive writes it: a unit variant as
+    /// its name in a string, a newtype variant as a one-entry object
+    /// `{"Name": payload}`. `unit` maps a unit variant's name; `newtype`
+    /// reads the payload of the variant its key names. Either returns
+    /// `None` for a name that is none of its variants, a shape error.
+    pub fn variant<T>(
+        &mut self,
+        unit: impl FnOnce(&str) -> Option<T>,
+        newtype: impl FnOnce(&mut Self, &str) -> Option<Result<T, ReadError>>,
+    ) -> Result<T, ReadError> {
         if self.start()? == Some(b'"') {
-            return match &*self.string()? {
-                "Cmd" => Ok(LevelLabel::Cmd),
-                "Data" => Ok(LevelLabel::Data),
-                other => Err(shape(format!("unknown unit variant `{other}`"))),
-            };
+            let name = self.string()?;
+            return unit(&name).ok_or_else(|| shape(format!("unknown unit variant `{name}`")));
         }
-        let mut label = None;
-        let mut entries = 0;
+        let mut newtype = Some(newtype);
+        let mut value = None;
         self.object(|r, key| {
-            entries += 1;
-            if entries > 1 {
-                return Err(shape("a label object has one entry"));
-            }
-            label = Some(match key {
-                "Hmd" => LevelLabel::Hmd(r.int()?),
-                "Vmd" => LevelLabel::Vmd(r.int()?),
-                other => return Err(shape(format!("unknown variant `{other}`"))),
-            });
+            let read = newtype.take().ok_or_else(|| shape("a variant object has one entry"))?;
+            let payload = read(r, key).ok_or_else(|| shape(format!("unknown variant `{key}`")))?;
+            value = Some(payload?);
             Ok(())
         })?;
-        label.ok_or_else(|| shape("a label object has one entry"))
+        value.ok_or_else(|| shape("a variant object has one entry"))
     }
 }
 

@@ -563,3 +563,121 @@ fn reader_agrees_with_serde_reference_on_mutated_records() {
     }
     assert!(seen.iter().all(|&n| n > cases / 50), "every outcome is exercised: {seen:?}");
 }
+
+/// The serializer's text for a plain markup object, which the reader
+/// matches in one compare.
+const PLAIN_MARKUP: &str = r#"{"th":false,"thead":false,"bold":false,"indent":0}"#;
+
+/// Respellings of one plain markup object, kinds 16 through 21: each
+/// leaves the one-compare match to the general object loop.
+fn respell_markup(text: &mut Vec<u8>, kind: usize, rng: &mut StdRng) -> bool {
+    let Some(at) = random_find(text, PLAIN_MARKUP.as_bytes(), rng) else { return false };
+    let mut entries = vec![
+        ("th", "false".to_string()),
+        ("thead", "false".to_string()),
+        ("bold", "false".to_string()),
+        ("indent", "0".to_string()),
+    ];
+    let mut spaced = false;
+    let mut trailing_comma = false;
+    match kind {
+        // Keys reordered.
+        16 => {
+            let by = rng.random_range(1..4);
+            if rng.random_bool(0.5) {
+                entries.rotate_left(by);
+            } else {
+                entries.reverse();
+                entries.rotate_left(by - 1);
+            }
+        }
+        // One key repeated with another value, before or after it.
+        17 => {
+            let i = rng.random_range(0..entries.len());
+            const VALUES: [&str; 7] = ["true", "false", "1", "0", "256", "null", "\"x\""];
+            let value = VALUES[rng.random_range(0..VALUES.len())].to_string();
+            let at = if rng.random_bool(0.5) { i } else { rng.random_range(i + 1..=entries.len()) };
+            entries.insert(at, (entries[i].0, value));
+        }
+        // Whitespace inside, JSON and not.
+        18 => spaced = true,
+        // `0` spelled otherwise.
+        19 => {
+            const ZEROS: [&str; 5] = ["-0", "00", "0.0", "-00", "0e0"];
+            entries[3].1 = ZEROS[rng.random_range(0..ZEROS.len())].to_string();
+        }
+        // A key dropped.
+        20 => {
+            entries.remove(rng.random_range(0..entries.len()));
+        }
+        // A trailing comma.
+        21 => trailing_comma = true,
+        _ => return false,
+    }
+    const SPACES: [&str; 6] = [" ", "\n", "\t", "\r\n ", "\u{b}", "\u{a0}"];
+    let space = |rng: &mut StdRng| {
+        if spaced && rng.random_bool(0.3) {
+            SPACES[rng.random_range(0..SPACES.len())]
+        } else {
+            ""
+        }
+    };
+    let mut respelled = format!("{{{}", space(rng));
+    for (i, (key, value)) in entries.iter().enumerate() {
+        if i > 0 {
+            respelled.push(',');
+        }
+        let (a, b, c) = (space(rng), space(rng), space(rng));
+        respelled.push_str(&format!("{a}\"{key}\"{b}:{c}{value}"));
+    }
+    if trailing_comma {
+        respelled.push(',');
+    }
+    respelled.push_str(space(rng));
+    respelled.push('}');
+    text.splice(at..at + PLAIN_MARKUP.len(), respelled.bytes());
+    true
+}
+
+#[test]
+fn reader_agrees_with_serde_reference_on_respelled_plain_markup() {
+    let mut rng = StdRng::seed_from_u64(0x23_a4c0);
+    let (mut accepted, mut rejected) = ([0usize; 22], [0usize; 22]);
+    for kind in CorpusKind::ALL {
+        let corpus = kind.generate(&GeneratorConfig { n_tables: 24, seed: 23 });
+        for table in &corpus.tables {
+            let original = serde_json::to_string(table).unwrap().into_bytes();
+            for respelling in 16..22 {
+                for _ in 0..3 {
+                    let mut text = original.clone();
+                    for _ in 0..rng.random_range(1..4) {
+                        respell_markup(&mut text, respelling, &mut rng);
+                    }
+                    if text == original {
+                        continue;
+                    }
+                    let shown =
+                        || String::from_utf8_lossy(&text[..text.len().min(400)]).into_owned();
+                    let got = reader(&text);
+                    assert_eq!(got, reference(&text), "respelling {respelling}: {}", shown());
+                    if !text.contains(&b'\n') {
+                        assert_eq!(ingest(&text), got, "JSONL ingest vs reader: {}", shown());
+                    }
+                    let tally = if got.is_ok() { &mut accepted } else { &mut rejected };
+                    tally[respelling] += 1;
+                }
+            }
+        }
+    }
+    // Reordered keys and zeros spelled as integers keep the table; a
+    // dropped key and a trailing comma never do; the others go both ways.
+    for (respelling, accepts, rejects) in
+        [(16, true, false), (17, true, true), (18, true, true), (19, true, true)]
+    {
+        assert_eq!(accepted[respelling] > 0, accepts, "respelling {respelling} accepted");
+        assert_eq!(rejected[respelling] > 0, rejects, "respelling {respelling} rejected");
+    }
+    for respelling in [20, 21] {
+        assert!(accepted[respelling] == 0 && rejected[respelling] > 0, "respelling {respelling}");
+    }
+}

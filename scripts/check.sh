@@ -96,9 +96,10 @@ fi
 # Traced benchmark smoke: the same workload with its per-layer
 # breakdown. The breakdown replays each layer through the public calls
 # the server makes (frame read, parse_payload::<Request>, classify,
-# encode), and the remainder serve.other_us must not go negative. A
-# server that decodes requests some other way than the replay does
-# fails "correct" here.
+# write_message with the Response's Encode, parse_payload::<Response>),
+# and the remainder serve.other_us must not go negative. A server that
+# decodes requests some other way than the replay does fails "correct"
+# here.
 stage "perfbench serve_small traced smoke"
 PERF_LAST="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload serve_small --seed 3 --seconds 2 --trace 1 | tail -n 1)"
