@@ -88,11 +88,6 @@ pub struct FinetuneResume {
     pub report: FinetuneReport,
 }
 
-/// Per-epoch observer for resumable fine-tuning: called with the embedder
-/// and loop state after every completed epoch; returning
-/// [`std::ops::ControlFlow::Break`] stops the run at that boundary.
-pub type FinetuneSink<'s, E> = &'s mut dyn FnMut(&E, &FinetuneResume) -> std::ops::ControlFlow<()>;
-
 /// ∂cos(A,B)/∂A = B/(|A||B|) − cos·A/|A|².
 fn cosine_grad_wrt_a(a: &[f32], b: &[f32], cos: f32) -> Vec<f32> {
     let na = norm(a);
@@ -170,7 +165,8 @@ fn update_pair<E: TunableEmbedder + ?Sized>(
 }
 
 /// Run contrastive fine-tuning over weakly-labeled tables, mutating the
-/// embedder's term vectors in place.
+/// embedder's term vectors in place. Each of the `config.epochs` epochs is
+/// the one the training driver runs, checkpoints and resumes.
 pub fn run<E: TunableEmbedder + ?Sized>(
     tables: &[Table],
     weak: &[WeakLabels],
@@ -178,25 +174,8 @@ pub fn run<E: TunableEmbedder + ?Sized>(
     tokenizer: &Tokenizer,
     config: &FinetuneConfig,
 ) -> FinetuneReport {
-    run_resumable(tables, weak, embedder, tokenizer, config, None, None).0
-}
-
-/// [`run`] with checkpoint/resume plumbing: `resume` restores the loop
-/// state captured at an epoch boundary (the caller restores the embedder
-/// weights separately), `sink` observes every completed epoch and may
-/// break out. Returns the accumulated report and whether the sink
-/// interrupted the run.
-pub fn run_resumable<E: TunableEmbedder + ?Sized>(
-    tables: &[Table],
-    weak: &[WeakLabels],
-    embedder: &mut E,
-    tokenizer: &Tokenizer,
-    config: &FinetuneConfig,
-    resume: Option<FinetuneResume>,
-    mut sink: Option<FinetuneSink<'_, E>>,
-) -> (FinetuneReport, bool) {
     assert_eq!(tables.len(), weak.len(), "tables and weak labels must align");
-    let mut state = resume.unwrap_or_else(|| FinetuneResume::fresh(config));
+    let mut state = FinetuneResume::fresh(config);
     while state.epochs_done < config.epochs {
         state = epoch(state, |epoch| {
             for (table, labels) in tables.iter().zip(weak) {
@@ -204,13 +183,8 @@ pub fn run_resumable<E: TunableEmbedder + ?Sized>(
             }
         })
         .0;
-        if let Some(sink) = sink.as_mut() {
-            if sink(&*embedder, &state).is_break() {
-                return (state.report, true);
-            }
-        }
     }
-    (state.report, false)
+    state.report
 }
 
 impl FinetuneResume {
@@ -508,38 +482,6 @@ mod tests {
         assert_eq!(report.negative_updates, 2, "{report:?}");
         assert_ne!(e.map.get("age"), before.map.get("age"), "epoch 0 updates level 1");
         assert_ne!(e.map.get("sex"), before.map.get("sex"), "epoch 1 rotates to level 2");
-    }
-
-    #[test]
-    fn resumable_run_is_bit_identical() {
-        use std::ops::ControlFlow;
-        let tables = tables();
-        let labeler = BootstrapLabeler::default();
-        let weak: Vec<WeakLabels> = tables.iter().map(|t| labeler.label(t)).collect();
-        let config = FinetuneConfig { epochs: 4, ..Default::default() };
-        let tok = Tokenizer::default();
-        let mut baseline = weakly_separated();
-        let base_report = run(&tables, &weak, &mut baseline, &tok, &config);
-
-        // Interrupt after epoch 2, then resume from the snapshot alone.
-        let mut e = weakly_separated();
-        let mut snap = None;
-        let mut sink = |em: &MapEmbedder, s: &FinetuneResume| {
-            if s.epochs_done == 2 {
-                snap = Some((em.clone(), s.clone()));
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        };
-        let (_, interrupted) =
-            run_resumable(&tables, &weak, &mut e, &tok, &config, None, Some(&mut sink));
-        assert!(interrupted);
-        let (mut resumed, state) = snap.unwrap();
-        let (report, interrupted) =
-            run_resumable(&tables, &weak, &mut resumed, &tok, &config, Some(state), None);
-        assert!(!interrupted);
-        assert_eq!(report, base_report);
-        assert_eq!(resumed.map, baseline.map, "resume must be bit-identical");
     }
 
     /// The pair update before the term index: both level vectors and both

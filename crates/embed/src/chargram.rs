@@ -57,33 +57,23 @@ pub struct CharGram {
 }
 
 impl CharGram {
-    /// Train from term-string sentences.
+    /// Train from term-string sentences: [`VocabBuilder::encode_all`],
+    /// then [`CharGram::train_encoded_resumable`].
     pub fn train(sentences: &[Vec<String>], config: CharGramConfig) -> (Self, TrainReport) {
-        let (model, report, _) = Self::train_resumable(sentences, config, None, None);
+        let (vocab, encoded) = VocabBuilder::encode_all(sentences, config.sgns.min_count);
+        let (model, report, _) = Self::train_encoded_resumable(vocab, &encoded, config, None, None);
         (model, report)
     }
 
-    /// [`CharGram::train`] with checkpoint/resume plumbing; same contract
-    /// as [`crate::word2vec::Word2Vec::train_resumable`]: vocabulary,
-    /// encoding, and gram cache are recomputed, `resume` restores weights
-    /// plus loop state from an epoch boundary, `sink` observes every epoch
-    /// of the epoch loop (stage end only under Hogwild) and may break out.
-    pub fn train_resumable(
-        sentences: &[Vec<String>],
-        config: CharGramConfig,
-        resume: Option<(Self, SgnsResume)>,
-        sink: Option<EpochSink<'_, Self>>,
-    ) -> (Self, TrainReport, bool) {
-        let (vocab, encoded) = VocabBuilder::encode_all(sentences, config.sgns.min_count);
-        Self::train_encoded_resumable(vocab, &encoded, config, resume, sink)
-    }
-
-    /// [`CharGram::train_resumable`] over sentences already encoded
-    /// against `vocab` by [`VocabBuilder`] — the same seam, with the same
-    /// contract, as
+    /// SGNS over sentences already encoded against `vocab` by
+    /// [`VocabBuilder`], with checkpoint/resume plumbing — the same seam,
+    /// with the same contract, as
     /// [`Word2Vec::train_encoded_resumable`](crate::word2vec::Word2Vec::train_encoded_resumable):
-    /// the gram cache is derived from `vocab` alone, so out-of-core
-    /// training needs no more of the corpus than the word-level model.
+    /// `resume` restores weights plus loop state from an epoch boundary,
+    /// `sink` observes every epoch of the epoch loop (stage end only under
+    /// Hogwild) and may break out. The gram cache is derived from `vocab`
+    /// alone, so out-of-core training needs no more of the corpus than the
+    /// word-level model.
     pub fn train_encoded_resumable(
         vocab: Vocabulary,
         encoded: &[Vec<u32>],
@@ -439,11 +429,17 @@ mod tests {
             }
             ControlFlow::Continue(())
         };
-        let (_, _, interrupted) =
-            CharGram::train_resumable(&sentences, config.clone(), None, Some(&mut sink));
+        let (vocab, encoded) = VocabBuilder::encode_all(&sentences, config.sgns.min_count);
+        let (_, _, interrupted) = CharGram::train_encoded_resumable(
+            vocab.clone(),
+            &encoded,
+            config.clone(),
+            None,
+            Some(&mut sink),
+        );
         assert!(interrupted);
         let (resumed, report, interrupted) =
-            CharGram::train_resumable(&sentences, config, snap, None);
+            CharGram::train_encoded_resumable(vocab, &encoded, config, snap, None);
         assert!(!interrupted);
         assert_eq!(report, base_report);
         assert_eq!(resumed.to_json(), baseline.to_json(), "resume must be bit-identical");

@@ -153,9 +153,9 @@ impl Default for SigmoidTable {
 /// Loop state of an SGNS run at an epoch boundary: everything the epoch
 /// loop needs (besides the matrices themselves) to continue a run exactly
 /// where it stopped. Serialized into training checkpoints; handing it
-/// back to either embedder's `train_resumable` continues the identical
-/// RNG stream and learning-rate schedule, so a resumed `threads = 1` run
-/// is bit-identical to an uninterrupted one.
+/// back to either embedder's `train_encoded_resumable` continues the
+/// identical RNG stream and learning-rate schedule, so a resumed
+/// `threads = 1` run is bit-identical to an uninterrupted one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SgnsResume {
     /// Epochs fully completed.

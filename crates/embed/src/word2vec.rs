@@ -78,8 +78,8 @@ impl VocabBuilder {
 
 /// Pass-B encoder: maps term-string sentences to final vocabulary ids,
 /// dropping out-of-vocabulary terms and sentences too short to yield a
-/// skip-gram pair — exactly the encoding [`Word2Vec::train_resumable`]
-/// performs in memory.
+/// skip-gram pair — exactly the encoding [`VocabBuilder::encode_all`]
+/// performs on resident sentences.
 #[derive(Debug)]
 pub struct SentenceEncoder {
     counting: Vocabulary,
@@ -106,42 +106,18 @@ impl Word2Vec {
     /// Train a model from term-string sentences.
     ///
     /// Builds the vocabulary (applying `config.min_count`), encodes the
-    /// sentences, and runs SGNS ([`crate::sgns`]). Numeric class tokens are
-    /// pre-interned so they always exist even in corpora without numerics.
+    /// sentences ([`VocabBuilder::encode_all`]), and runs SGNS
+    /// ([`crate::sgns`]) through [`Word2Vec::train_encoded_resumable`].
+    /// Numeric class tokens are pre-interned so they always exist even in
+    /// corpora without numerics.
     pub fn train(sentences: &[Vec<String>], config: SgnsConfig) -> (Self, TrainReport) {
-        let (model, report, _) = Self::train_resumable(sentences, config, None, None);
+        let (vocab, encoded) = VocabBuilder::encode_all(sentences, config.min_count);
+        let (model, report, _) = Self::train_encoded_resumable(vocab, &encoded, config, None, None);
         (model, report)
     }
 
-    /// [`Word2Vec::train`] with checkpoint/resume plumbing.
-    ///
-    /// The vocabulary and sentence encoding are always recomputed (they are
-    /// pure functions of `sentences` + `config`); `resume` restores a model
-    /// and its SGNS loop state captured at an epoch boundary, and `sink` is
-    /// invoked after every completed epoch of the epoch loop (once, after
-    /// the whole stage, under Hogwild — per-epoch interleaving state
-    /// cannot be snapshotted there). Returns `true` in the last tuple
-    /// slot when the sink broke out of training early; the returned model
-    /// then holds the state at the last completed epoch.
-    ///
-    /// At `threads = 1` a resumed run continues the exact RNG stream and
-    /// learning-rate schedule, so the final model is bit-identical to an
-    /// uninterrupted run. A partially-complete resume under `threads > 1`
-    /// finishes the remaining epochs on the deterministic epoch loop over
-    /// plain rows (mid-stage Hogwild state is never checkpointed in the
-    /// first place).
-    pub fn train_resumable(
-        sentences: &[Vec<String>],
-        config: SgnsConfig,
-        resume: Option<(Self, SgnsResume)>,
-        sink: Option<EpochSink<'_, Self>>,
-    ) -> (Self, TrainReport, bool) {
-        let (vocab, encoded) = VocabBuilder::encode_all(sentences, config.min_count);
-        Self::train_encoded_resumable(vocab, &encoded, config, resume, sink)
-    }
-
-    /// [`Word2Vec::train_resumable`] over pre-encoded sentences — the seam
-    /// the training driver uses: pass A builds `vocab` via
+    /// SGNS over pre-encoded sentences, with checkpoint/resume plumbing —
+    /// the seam the training driver uses: pass A builds `vocab` via
     /// [`VocabBuilder`], pass B encodes each shard with the returned
     /// [`SentenceEncoder`] and accumulates only the compact id lists, then
     /// hands them here. `vocab` is only consulted on a fresh start (a
@@ -149,6 +125,21 @@ impl Word2Vec {
     /// sentences shorter than two ids, as [`SentenceEncoder::encode`]
     /// guarantees, or the learning-rate schedule diverges from the
     /// in-memory path.
+    ///
+    /// `resume` restores a model and its SGNS loop state captured at an
+    /// epoch boundary, and `sink` is invoked after every completed epoch
+    /// of the epoch loop (once, after the whole stage, under Hogwild —
+    /// per-epoch interleaving state cannot be snapshotted there). Returns
+    /// `true` in the last tuple slot when the sink broke out of training
+    /// early; the returned model then holds the state at the last
+    /// completed epoch.
+    ///
+    /// At `threads = 1` a resumed run continues the exact RNG stream and
+    /// learning-rate schedule, so the final model is bit-identical to an
+    /// uninterrupted run. A partially-complete resume under `threads > 1`
+    /// finishes the remaining epochs on the deterministic epoch loop over
+    /// plain rows (mid-stage Hogwild state is never checkpointed in the
+    /// first place).
     pub fn train_encoded_resumable(
         vocab: Vocabulary,
         encoded: &[Vec<u32>],
@@ -400,11 +391,17 @@ mod tests {
             }
             ControlFlow::Continue(())
         };
-        let (_, _, interrupted) =
-            Word2Vec::train_resumable(&sentences, config.clone(), None, Some(&mut sink));
+        let (vocab, encoded) = VocabBuilder::encode_all(&sentences, config.min_count);
+        let (_, _, interrupted) = Word2Vec::train_encoded_resumable(
+            vocab.clone(),
+            &encoded,
+            config.clone(),
+            None,
+            Some(&mut sink),
+        );
         assert!(interrupted);
         let (resumed, report, interrupted) =
-            Word2Vec::train_resumable(&sentences, config, snap, None);
+            Word2Vec::train_encoded_resumable(vocab, &encoded, config, snap, None);
         assert!(!interrupted);
         assert_eq!(report, base_report);
         assert_eq!(resumed.to_json(), baseline.to_json(), "resume must be bit-identical");

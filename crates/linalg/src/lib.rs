@@ -5,8 +5,9 @@
 //!
 //! * dot products, Euclidean norms and **cosine similarity** (paper Eq. 5),
 //! * **angles in degrees** between aggregated level vectors (Eqs. 6–8),
-//! * **centroids** (arithmetic means, Def. 6) and **aggregated level
-//!   vectors** (summations, Def. 8),
+//! * in-place `add_assign` and `scale`, with which `tabmeta-core` sums
+//!   term vectors into aggregated level vectors (Def. 8) and averages
+//!   those into centroids (Def. 6),
 //! * **angle ranges** `[min, max]` — the centroid ranges `C_MDE`, `C_DE`
 //!   and `C_MDE-DE` of Defs. 11–13 — with percentile trimming so a handful
 //!   of outlier tables cannot blow the range open,
@@ -16,7 +17,6 @@
 //! so it can be property-tested in isolation.
 
 pub mod angle;
-pub mod centroid;
 pub mod matrix;
 pub mod range;
 pub mod stats;
@@ -25,7 +25,6 @@ pub mod vector;
 pub use angle::{
     angle_degrees, angle_from_parts, cosine_from_parts, cosine_similarity, cosine_to_degrees,
 };
-pub use centroid::{aggregate_concat, aggregate_mean, aggregate_sum, centroid};
 pub use matrix::{HogwildView, Matrix};
 pub use range::{AngleRange, RangeEstimator};
 pub use stats::{linear_fit, LinearFit, OnlineStats};

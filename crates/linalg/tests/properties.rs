@@ -4,9 +4,8 @@
 
 use proptest::prelude::*;
 use tabmeta_linalg::{
-    aggregate_mean, aggregate_sum, angle_degrees, angle_from_parts, cosine_from_parts,
-    cosine_similarity, dot, dot2, dot2_norms, dot_norms, norm, AngleRange, Matrix, OnlineStats,
-    RangeEstimator,
+    angle_degrees, angle_from_parts, cosine_from_parts, cosine_similarity, dot, dot2, dot2_norms,
+    dot_norms, norm, AngleRange, Matrix, OnlineStats, RangeEstimator,
 };
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -59,17 +58,6 @@ proptest! {
     fn self_angle_is_zero(a in finite_vec(10)) {
         prop_assume!(tabmeta_linalg::norm(&a) > 1e-3);
         prop_assert!(angle_degrees(&a, &a) < 0.5);
-    }
-
-    #[test]
-    fn sum_and_mean_aggregates_are_parallel(
-        vs in proptest::collection::vec(finite_vec(6), 1..8)
-    ) {
-        let slices: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
-        let sum = aggregate_sum(slices.iter().copied()).unwrap();
-        let mean = aggregate_mean(slices.iter().copied()).unwrap();
-        prop_assume!(tabmeta_linalg::norm(&sum) > 1e-3);
-        prop_assert!(angle_degrees(&sum, &mean) < 0.5);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!
 //! * **Bounded admission** — at most `queue_capacity` requests wait for
 //!   a permit; one more means an immediate typed `overloaded` response
-//!   carrying a retry hint, never unbounded growth. [`retry`] is the client half: it honors
-//!   the hint with seeded-jitter bounded backoff so shed load is
-//!   retried deterministically, not dropped or resent in a herd.
+//!   carrying a `retry_after_ms` hint for the client, never unbounded
+//!   growth.
 //! * **Panic isolation** — a panic inside classification is caught per
 //!   request; the poisoned request gets a typed `internal_error`
 //!   rejection, its permit is released, and the connection keeps serving.
@@ -47,11 +46,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod protocol;
-pub mod retry;
 pub mod server;
 
 pub use protocol::{Request, Response, Status, WireError};
-pub use retry::{RetryError, RetryOutcome, RetryPolicy};
 pub use server::{Client, ServeConfig, Server, ServingModel, StatsSnapshot};
 
 #[cfg(test)]

@@ -6,12 +6,14 @@
 //! from PDF and stored in JSON format", §IV-B). JSONL streams, appends and
 //! splits cheaply, which is what corpus-scale experiments need.
 
-use crate::ingest::{snippet_of, IngestError, QuarantineReport, QuarantinedRecord, RejectReason};
-use crate::json::{self, ReadError};
+use crate::ingest::{
+    csv_file_record, file_name, IngestError, JsonlRecords, QuarantineReport, RejectReason,
+    Rejection,
+};
 use crate::label::LevelLabel;
 use crate::table::Table;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 
 /// Error from [`Corpus::split`]: the modulus must leave both sides
 /// non-degenerate.
@@ -99,48 +101,12 @@ impl Corpus {
             .filter(|p| p.extension().is_some_and(|x| x.eq_ignore_ascii_case("csv")))
             .collect();
         paths.sort();
-        for (idx, path) in paths.into_iter().enumerate() {
-            let file_name = path.file_name().and_then(|s| s.to_str()).unwrap_or("?").to_string();
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    report.reject(QuarantinedRecord {
-                        line: idx + 1,
-                        reason: RejectReason::Io,
-                        detail: e.to_string(),
-                        snippet: file_name,
-                    });
-                    continue;
-                }
+        for (idx, path) in paths.iter().enumerate() {
+            let record = match std::fs::read(path) {
+                Ok(bytes) => csv_file_record(path, &bytes, corpus.tables.len() as u64),
+                Err(e) => Err((RejectReason::Io, e.to_string(), file_name(path))),
             };
-            let text = match std::str::from_utf8(&bytes) {
-                Ok(t) => t,
-                Err(e) => {
-                    report.reject(QuarantinedRecord {
-                        line: idx + 1,
-                        reason: RejectReason::InvalidUtf8,
-                        detail: e.to_string(),
-                        snippet: file_name,
-                    });
-                    continue;
-                }
-            };
-            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-            let id = corpus.tables.len() as u64;
-            match crate::csv::table_from_csv(id, stem, text) {
-                Ok(t) => {
-                    corpus.tables.push(t);
-                    report.accept();
-                }
-                Err(e) => {
-                    report.reject(QuarantinedRecord {
-                        line: idx + 1,
-                        reason: RejectReason::MalformedCsv,
-                        detail: e.to_string(),
-                        snippet: file_name,
-                    });
-                }
-            }
+            corpus.tables.extend(report.tally(idx + 1, record));
         }
         report.publish_metrics();
         Ok((corpus, report))
@@ -162,19 +128,16 @@ impl Corpus {
     /// skipped (trailing newlines are not records).
     pub fn read_jsonl<R: Read>(name: impl Into<String>, reader: R) -> Result<Corpus, IngestError> {
         let mut corpus = Corpus::new(name);
-        for_each_jsonl_record(&corpus.name, reader, |record| match record {
-            Ok(table) => {
-                corpus.tables.push(table);
-                Ok(())
+        let mut records = JsonlRecords::new(reader);
+        while let Some(record) = next_record(&corpus.name, &mut records)? {
+            match record {
+                Ok(table) => corpus.tables.push(table),
+                Err((reason, detail, snippet)) => {
+                    let line = Some(records.line());
+                    return Err(IngestError { source: corpus.name, line, reason, detail, snippet });
+                }
             }
-            Err(QuarantinedRecord { line, reason, detail, snippet }) => Err(IngestError {
-                source: corpus.name.clone(),
-                line: Some(line),
-                reason,
-                detail,
-                snippet,
-            }),
-        })?;
+        }
         Ok(corpus)
     }
 
@@ -189,16 +152,10 @@ impl Corpus {
     ) -> Result<(Corpus, QuarantineReport), IngestError> {
         let mut corpus = Corpus::new(name);
         let mut report = QuarantineReport::new(corpus.name.clone());
-        for_each_jsonl_record(&corpus.name, reader, |record| {
-            match record {
-                Ok(table) => {
-                    corpus.tables.push(table);
-                    report.accept();
-                }
-                Err(rejected) => report.reject(rejected),
-            }
-            Ok(())
-        })?;
+        let mut records = JsonlRecords::new(reader);
+        while let Some(record) = next_record(&corpus.name, &mut records)? {
+            corpus.tables.extend(report.tally(records.line(), record));
+        }
         report.publish_metrics();
         Ok((corpus, report))
     }
@@ -246,64 +203,18 @@ impl Corpus {
     }
 }
 
-/// The one JSONL line loop behind both readers: hand every record of
-/// `reader` to `record` in order — the parsed table, or the rejection
-/// with its 1-based line number. Blank lines are not records. An IO
-/// failure of the reader, or the first error `record` returns, ends the
-/// loop with that error.
-fn for_each_jsonl_record<R: Read>(
+/// The next record of a resident JSONL read; a failed read aborts the
+/// read as an [`IngestError`] on the line being read.
+fn next_record<R: Read>(
     source: &str,
-    reader: R,
-    mut record: impl FnMut(Result<Table, QuarantinedRecord>) -> Result<(), IngestError>,
-) -> Result<(), IngestError> {
-    let mut r = BufReader::new(reader);
-    let mut buf = Vec::new();
-    let mut line = 0usize;
-    loop {
-        buf.clear();
-        let n = r.read_until(b'\n', &mut buf).map_err(|e| IngestError {
-            source: source.to_string(),
-            line: Some(line + 1),
-            reason: RejectReason::Io,
-            detail: e.to_string(),
-            snippet: String::new(),
-        })?;
-        if n == 0 {
-            return Ok(());
-        }
-        line += 1;
-        match parse_jsonl_record(&buf) {
-            Ok(None) => {}
-            Ok(Some(table)) => record(Ok(table))?,
-            Err((reason, detail, snippet)) => {
-                record(Err(QuarantinedRecord { line, reason, detail, snippet }))?;
-            }
-        }
-    }
-}
-
-/// Parse one raw JSONL line. `Ok(None)` means a blank line (not a
-/// record); errors come back as `(reason, detail, snippet)` for the
-/// caller to wrap into strict or lossy handling.
-pub(crate) fn parse_jsonl_record(
-    bytes: &[u8],
-) -> Result<Option<Table>, (RejectReason, String, String)> {
-    let line = match std::str::from_utf8(bytes) {
-        Ok(s) => s,
-        Err(e) => {
-            let lossy = String::from_utf8_lossy(bytes);
-            return Err((RejectReason::InvalidUtf8, e.to_string(), snippet_of(&lossy)));
-        }
-    };
-    if line.trim().is_empty() {
-        return Ok(None);
-    }
-    json::table_from_str(line).map(Some).map_err(|e| {
-        let reason = match e {
-            ReadError::Malformed(_) => RejectReason::MalformedJson,
-            ReadError::Shape(_) => RejectReason::InvalidShape,
-        };
-        (reason, e.to_string(), snippet_of(line))
+    records: &mut JsonlRecords<R>,
+) -> Result<Option<Result<Table, Rejection>>, IngestError> {
+    records.next_record().map_err(|e| IngestError {
+        source: source.to_string(),
+        line: Some(records.line()),
+        reason: RejectReason::Io,
+        detail: e.to_string(),
+        snippet: String::new(),
     })
 }
 

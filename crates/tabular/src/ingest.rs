@@ -1,9 +1,9 @@
-//! Ingestion resilience: the typed error taxonomy and the quarantine
-//! report for lossy corpus loading.
+//! Ingestion resilience: the record rules every corpus reader shares,
+//! the typed error taxonomy and the quarantine report for lossy loading.
 //!
 //! The paper classifies *heterogeneous, imperfect* corpora — millions of
 //! tables exported by thousands of uncoordinated sources — so the data
-//! path must treat malformed records as routine, not exceptional. Two
+//! path must treat malformed records as routine, not exceptional. Three
 //! modes exist:
 //!
 //! * **Strict** ([`crate::Corpus::read_jsonl`]) — the first bad record
@@ -16,13 +16,26 @@
 //!   [`QuarantineReport`] (per-reason counts plus the first few full
 //!   records) and the load continues. Right for wild corpora where one
 //!   poisoned table must not kill a training run.
+//! * **Streamed** ([`crate::stream::ShardReader`]) — a directory pass
+//!   quarantines like the lossy mode, and also quarantines a failed read
+//!   as one record and abandons that file.
 //!
-//! Both modes maintain the conservation law `accepted + quarantined =
-//! total`, and the lossy path mirrors its tallies into `tabmeta-obs`
+//! The modes share the record rules here: one JSONL line loop
+//! (`JsonlRecords`: one record per non-blank line) behind every JSONL
+//! reader, and one CSV-file step (`csv_file_record`: one record per file)
+//! behind every CSV reader. Each reader numbers the records and decides
+//! what a failed read means.
+//!
+//! Every mode maintains the conservation law `accepted + quarantined =
+//! total`, and the lossy loads mirror their tallies into `tabmeta-obs`
 //! (`ingest.accepted`, `ingest.quarantined`, `ingest.rejected.<reason>`)
 //! so serving dashboards see rejection-rate spikes.
 
+use crate::json::{self, ReadError};
+use crate::table::Table;
 use serde::{Deserialize, Serialize};
+use std::io::{self, BufRead, BufReader, Read};
+use std::path::Path;
 
 /// Why a record was rejected. The closed set keeps telemetry cardinality
 /// bounded: every rejection lands in exactly one bucket.
@@ -97,8 +110,9 @@ pub fn snippet_of(payload: &str) -> String {
 pub struct IngestError {
     /// Source name (file path or corpus name).
     pub source: String,
-    /// 1-based record number within the source (line for JSONL, file
-    /// index for directory ingestion), when known.
+    /// The 1-based physical line of the source the error is on, blank
+    /// lines included: the rejected record's line, or the line whose
+    /// read failed.
     pub line: Option<usize>,
     /// Rejection bucket.
     pub reason: RejectReason,
@@ -134,7 +148,11 @@ impl From<IngestError> for std::io::Error {
 /// [`QuarantineReport`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantinedRecord {
-    /// 1-based record number within the source.
+    /// Where the record is, 1-based. [`crate::Corpus::read_jsonl_lossy`]
+    /// stores its physical line, blank lines included;
+    /// [`crate::Corpus::from_csv_dir`] its file's position in the sorted
+    /// file list; a [`crate::stream::ShardReader`] pass its record number
+    /// across all the pass's files, blank lines not counted.
     pub line: usize,
     /// Rejection bucket.
     pub reason: RejectReason,
@@ -214,6 +232,21 @@ impl QuarantineReport {
         }
     }
 
+    /// Tally one record as record `line`: its table comes back, or its
+    /// rejection is quarantined.
+    pub(crate) fn tally(&mut self, line: usize, record: Result<Table, Rejection>) -> Option<Table> {
+        match record {
+            Ok(table) => {
+                self.accept();
+                Some(table)
+            }
+            Err((reason, detail, snippet)) => {
+                self.reject(QuarantinedRecord { line, reason, detail, snippet });
+                None
+            }
+        }
+    }
+
     /// Mirror the tallies into the global `tabmeta-obs` registry:
     /// `ingest.accepted`, `ingest.quarantined`, and one
     /// `ingest.rejected.<reason>` counter per occupied bucket (the
@@ -253,6 +286,84 @@ impl QuarantineReport {
         }
         out
     }
+}
+
+/// A rejected record before its reader numbers it: the reason, the
+/// parser's message and a payload snippet.
+pub(crate) type Rejection = (RejectReason, String, String);
+
+/// The one JSONL line loop: a pull reader that hands out one record per
+/// non-blank line, the parsed table or its [`Rejection`], through one
+/// reused line buffer. A failed read comes back as its `io::Error`; the
+/// caller decides whether that aborts the load or abandons the file.
+pub(crate) struct JsonlRecords<R> {
+    reader: BufReader<R>,
+    buf: Vec<u8>,
+    line: usize,
+}
+
+impl<R: Read> JsonlRecords<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        Self { reader: BufReader::new(reader), buf: Vec::new(), line: 0 }
+    }
+
+    /// The 1-based physical line, blank lines included, of the record
+    /// last handed out, or of the line whose read failed.
+    pub(crate) fn line(&self) -> usize {
+        self.line
+    }
+
+    /// The raw bytes of the record last handed out.
+    pub(crate) fn raw(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The next record, or `None` at the end of the input.
+    pub(crate) fn next_record(&mut self) -> io::Result<Option<Result<Table, Rejection>>> {
+        loop {
+            self.buf.clear();
+            self.line += 1;
+            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
+                return Ok(None);
+            }
+            let text = match std::str::from_utf8(&self.buf) {
+                Ok(text) => text,
+                Err(e) => {
+                    let snippet = snippet_of(&String::from_utf8_lossy(&self.buf));
+                    return Ok(Some(Err((RejectReason::InvalidUtf8, e.to_string(), snippet))));
+                }
+            };
+            if text.trim().is_empty() {
+                continue;
+            }
+            return Ok(Some(json::table_from_str(text).map_err(|e| {
+                let reason = match e {
+                    ReadError::Malformed(_) => RejectReason::MalformedJson,
+                    ReadError::Shape(_) => RejectReason::InvalidShape,
+                };
+                (reason, e.to_string(), snippet_of(text))
+            })));
+        }
+    }
+}
+
+/// The one CSV-file step: a whole CSV file's bytes are one record. Its
+/// table takes `id`, the count of tables accepted so far, and the file
+/// stem as caption; a rejection is `InvalidUtf8` or `MalformedCsv` with
+/// the file name as snippet.
+pub(crate) fn csv_file_record(path: &Path, bytes: &[u8], id: u64) -> Result<Table, Rejection> {
+    let reject = |reason, detail: String| (reason, detail, file_name(path));
+    let text =
+        std::str::from_utf8(bytes).map_err(|e| reject(RejectReason::InvalidUtf8, e.to_string()))?;
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    crate::csv::table_from_csv(id, stem, text)
+        .map_err(|e| reject(RejectReason::MalformedCsv, e.to_string()))
+}
+
+/// A file's name as quarantine snippets carry it (`?` when it has no
+/// UTF-8 name).
+pub(crate) fn file_name(path: &Path) -> String {
+    path.file_name().and_then(|s| s.to_str()).unwrap_or("?").to_string()
 }
 
 #[cfg(test)]

@@ -23,7 +23,8 @@
 //!   persistence and structure statistics,
 //! * [`json`] — the tree-free pull reader every runtime path decodes
 //!   table JSON with (JSONL records, serve requests),
-//! * [`ingest`] — the typed ingestion-error taxonomy
+//! * [`ingest`] — the record rules every corpus reader shares (one JSONL
+//!   line loop, one CSV-file step), the typed ingestion-error taxonomy
 //!   ([`ingest::IngestError`] / [`ingest::RejectReason`]) and the
 //!   [`ingest::QuarantineReport`] produced by lossy loading,
 //! * [`stream`] — out-of-core shard streaming over corpus directories

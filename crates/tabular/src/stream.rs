@@ -14,24 +14,30 @@
 //!   `shard.quarantined.<reason>` counter; nothing panics.
 //! * [`ShardReader`] / [`ShardCursor`] — a restartable multi-pass reader
 //!   over a directory of `*.jsonl` / `*.csv` files (sorted by name for
-//!   determinism) that yields [`Shard`]s of bounded row count, reusing
-//!   the lossy record parsers and the [`QuarantineReport`] conservation
-//!   law: over every pass, `accepted + quarantined == total` holds
-//!   exactly, where a read fault counts as one quarantined record and
-//!   skips the remainder of the damaged file (its unread records were
-//!   never encountered, so they are not part of `total`).
+//!   determinism) that yields [`Shard`]s of bounded row count. It reads
+//!   records through the resident readers' own JSONL line loop and
+//!   CSV-file step ([`crate::ingest`]), so a record is accepted or
+//!   rejected for the same reason either way, and keeps the
+//!   [`QuarantineReport`] conservation law: over every pass,
+//!   `accepted + quarantined == total` holds exactly, where a failed open
+//!   or read counts as one quarantined `io` record naming its file and
+//!   skips the remainder of that file (its unread records were never
+//!   encountered, so they are not part of `total`). A pass numbers its
+//!   records across all its files.
 //!
 //! Quarantined raw records can optionally be spilled to a sidecar file
 //! per shard (`quarantine_dir/shard-<n>.bad`) via [`DiskIo::atomic_write`]
-//! — a second injectable write surface. Sidecar write failures are
-//! themselves classified and counted but never un-quarantine a record,
-//! so conservation survives ENOSPC mid-quarantine-write and torn renames
-//! of the sidecar temp file.
+//! — a second injectable write surface: a rejected JSONL line as read, a
+//! malformed CSV file as its name and parse error. Sidecar write failures
+//! are themselves classified and counted but never un-quarantine a
+//! record, so conservation survives ENOSPC mid-quarantine-write and torn
+//! renames of the sidecar temp file.
 
-use crate::corpus::parse_jsonl_record;
-use crate::ingest::{QuarantineReport, QuarantinedRecord, RejectReason};
+use crate::ingest::{
+    csv_file_record, file_name, JsonlRecords, QuarantineReport, RejectReason, Rejection,
+};
 use crate::table::Table;
-use std::io::{self, BufRead, BufReader, Read};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -267,18 +273,11 @@ impl ShardReader {
             reader: self,
             file_idx: 0,
             current: None,
-            record_no: 0,
-            accepted: 0,
             shard_index: 0,
             report: QuarantineReport::new(self.source.clone()),
             pending_bad: Vec::new(),
         }
     }
-}
-
-/// A JSONL file mid-read.
-struct FileCursor {
-    buf_reader: BufReader<Box<dyn Read + Send>>,
 }
 
 /// One in-progress pass over the corpus. Pull shards with
@@ -288,13 +287,11 @@ struct FileCursor {
 pub struct ShardCursor<'a> {
     reader: &'a ShardReader,
     file_idx: usize,
-    current: Option<FileCursor>,
-    /// Global 1-based record counter across all files (drives the `line`
-    /// field of quarantine samples).
-    record_no: usize,
-    /// Accepted tables so far (dense CSV table ids).
-    accepted: usize,
+    /// The JSONL file mid-read.
+    current: Option<JsonlRecords<Box<dyn Read + Send>>>,
     shard_index: usize,
+    /// The pass's tallies: `total` numbers its records across all files
+    /// and `accepted` gives CSV tables their dense ids.
     report: QuarantineReport,
     /// Raw quarantined records buffered for the current shard's sidecar.
     pending_bad: Vec<String>,
@@ -308,7 +305,7 @@ impl ShardCursor<'_> {
 
     /// Tables accepted so far in this pass.
     pub fn accepted(&self) -> usize {
-        self.accepted
+        self.report.accepted
     }
 
     /// Finish the pass, returning its conservation report. Metrics are
@@ -347,143 +344,81 @@ impl ShardCursor<'_> {
 
     /// Pull the next accepted table, quarantining damage along the way.
     fn next_table(&mut self) -> Option<Table> {
+        let reader = self.reader;
+        let spill = reader.options.quarantine_dir.is_some();
         loop {
-            if let Some(cursor) = self.current.as_mut() {
-                let mut buf = Vec::new();
-                match cursor.buf_reader.read_until(b'\n', &mut buf) {
-                    Ok(0) => {
-                        self.current = None;
-                        self.file_idx += 1;
-                        continue;
+            let path = reader.files.get(self.file_idx)?;
+            if let Some(records) = self.current.as_mut() {
+                match records.next_record() {
+                    Ok(Some(record)) => {
+                        let sidecar = (spill && record.is_err())
+                            .then(|| String::from_utf8_lossy(records.raw()).trim_end().to_string());
+                        match self.tally(record, sidecar) {
+                            Some(table) => return Some(table),
+                            None => continue,
+                        }
                     }
-                    Ok(_) => {}
-                    Err(e) => {
-                        // The stream died mid-record: quarantine one
-                        // record for the failed read and abandon the
-                        // file — its unread remainder was never
-                        // encountered, so conservation stays exact.
-                        self.quarantine_fault(&e, "read");
-                        self.current = None;
-                        self.file_idx += 1;
-                        continue;
-                    }
+                    Ok(None) => {}
+                    // The stream died mid-record: quarantine one record for
+                    // the failed read and abandon the file — its unread
+                    // remainder was never encountered, so conservation
+                    // stays exact.
+                    Err(e) => self.fault(&e, "read", path),
                 }
-                match parse_jsonl_record(&buf) {
-                    Ok(None) => continue, // blank lines are not records
-                    Ok(Some(table)) => {
-                        self.record_no += 1;
-                        self.report.accept();
-                        self.accepted += 1;
-                        return Some(table);
-                    }
-                    Err((reason, detail, snippet)) => {
-                        self.record_no += 1;
-                        self.quarantine_record(reason, detail, snippet, &buf);
-                        continue;
-                    }
-                }
-            }
-            // No file open: advance to the next one.
-            let path = self.reader.files.get(self.file_idx)?.clone();
-            let is_csv = path.extension().is_some_and(|x| x.eq_ignore_ascii_case("csv"));
-            if is_csv {
+                self.current = None;
                 self.file_idx += 1;
-                if let Some(table) = self.next_csv_table(&path) {
+            } else if path.extension().is_some_and(|x| x.eq_ignore_ascii_case("csv")) {
+                self.file_idx += 1;
+                let record = match reader.disk.read(path) {
+                    Ok(bytes) => csv_file_record(path, &bytes, self.report.accepted as u64),
+                    Err(e) => {
+                        self.fault(&e, "read", path);
+                        continue;
+                    }
+                };
+                let sidecar = match &record {
+                    Err((RejectReason::MalformedCsv, detail, file)) if spill => {
+                        Some(format!("{file}: {detail}"))
+                    }
+                    _ => None,
+                };
+                if let Some(table) = self.tally(record, sidecar) {
                     return Some(table);
                 }
-                continue;
-            }
-            match self.reader.disk.open_read(&path) {
-                Ok(r) => {
-                    self.current = Some(FileCursor { buf_reader: BufReader::new(r) });
-                }
-                Err(e) => {
-                    self.quarantine_fault(&e, "open");
-                    self.file_idx += 1;
+            } else {
+                match reader.disk.open_read(path) {
+                    Ok(r) => self.current = Some(JsonlRecords::new(r)),
+                    Err(e) => {
+                        self.fault(&e, "open", path);
+                        self.file_idx += 1;
+                    }
                 }
             }
         }
     }
 
-    /// Ingest one whole CSV file as a table (dense ids over accepted
-    /// tables, caption from the file stem — the `from_csv_dir` contract).
-    fn next_csv_table(&mut self, path: &Path) -> Option<Table> {
-        let file_name = path.file_name().and_then(|s| s.to_str()).unwrap_or("?").to_string();
-        self.record_no += 1;
-        let bytes = match self.reader.disk.read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                let fault = ShardFault::classify(&e);
-                fault.count();
-                self.report.reject(QuarantinedRecord {
-                    line: self.record_no,
-                    reason: RejectReason::Io,
-                    detail: format!("{fault}: {e}"),
-                    snippet: file_name,
-                });
-                return None;
-            }
-        };
-        let text = match std::str::from_utf8(&bytes) {
-            Ok(t) => t,
-            Err(e) => {
-                self.report.reject(QuarantinedRecord {
-                    line: self.record_no,
-                    reason: RejectReason::InvalidUtf8,
-                    detail: e.to_string(),
-                    snippet: file_name,
-                });
-                return None;
-            }
-        };
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        match crate::csv::table_from_csv(self.accepted as u64, stem, text) {
-            Ok(t) => {
-                self.report.accept();
-                self.accepted += 1;
-                Some(t)
-            }
-            Err(e) => {
-                self.pending_bad.push(format!("{file_name}: {e}"));
-                self.report.reject(QuarantinedRecord {
-                    line: self.record_no,
-                    reason: RejectReason::MalformedCsv,
-                    detail: e.to_string(),
-                    snippet: file_name,
-                });
-                None
-            }
-        }
-    }
-
-    /// Quarantine one record for a transport-level fault: the record is
-    /// tallied under [`RejectReason::Io`] (conservation) *and* the
-    /// precise [`ShardFault`] is counted under `shard.quarantined.*`.
-    fn quarantine_fault(&mut self, err: &io::Error, op: &str) {
+    /// Quarantine one record for a transport-level fault during `op` on
+    /// `path`: the record is tallied under [`RejectReason::Io`] with the
+    /// file name as snippet (conservation) *and* the precise
+    /// [`ShardFault`] is counted under `shard.quarantined.*`.
+    fn fault(&mut self, err: &io::Error, op: &str, path: &Path) {
         let fault = ShardFault::classify(err);
         fault.count();
-        self.record_no += 1;
-        self.report.reject(QuarantinedRecord {
-            line: self.record_no,
-            reason: RejectReason::Io,
-            detail: format!("{op} failed ({fault}): {err}"),
-            snippet: String::new(),
-        });
+        let detail = format!("{op} failed ({fault}): {err}");
+        self.tally(Err((RejectReason::Io, detail, file_name(path))), None);
     }
 
-    /// Quarantine one parsed-but-bad record, buffering its raw bytes for
-    /// the sidecar spill.
-    fn quarantine_record(
+    /// The one quarantine step for every record of the pass, either
+    /// format: number it after the records before it, then hand back its
+    /// table or quarantine it, buffering its `sidecar` line for this
+    /// shard's sidecar file.
+    fn tally(
         &mut self,
-        reason: RejectReason,
-        detail: String,
-        snippet: String,
-        raw: &[u8],
-    ) {
-        if self.reader.options.quarantine_dir.is_some() {
-            self.pending_bad.push(String::from_utf8_lossy(raw).trim_end().to_string());
-        }
-        self.report.reject(QuarantinedRecord { line: self.record_no, reason, detail, snippet });
+        record: Result<Table, Rejection>,
+        sidecar: Option<String>,
+    ) -> Option<Table> {
+        self.pending_bad.extend(sidecar);
+        self.report.tally(self.report.total + 1, record)
     }
 
     /// Spill buffered quarantined records to this shard's sidecar file.

@@ -163,6 +163,30 @@ for threads in 1 4; do
   "$TABMETA" classify --model "$MODEL" --corpus "$STREAM_DIR/saus.jsonl" >/dev/null
 done
 
+# The CLI's resident readers on a damaged corpus: saus.jsonl's 400
+# records plus one truncated record on line 401. The lossy reader must
+# quarantine that one record as malformed_json and classify the rest; the
+# strict reader must refuse the file and name the line.
+DAMAGED="$CHECK_TMP/saus-truncated.jsonl"
+cp "$STREAM_DIR/saus.jsonl" "$DAMAGED"
+printf '{"id":400,"caption":"truncated","cells":[["a"\n' >>"$DAMAGED"
+if ! LOSSY_ERR="$("$TABMETA" classify --model "$MODEL" --corpus "$DAMAGED" --lossy 2>&1 >/dev/null)"; then
+  echo "lossy classify of a truncated record failed: $LOSSY_ERR" >&2
+  exit 1
+fi
+if ! grep -q ' 1 quarantined$' <<<"$LOSSY_ERR" || ! grep -q '^  malformed_json: 1$' <<<"$LOSSY_ERR"; then
+  echo "lossy classify did not report 1 quarantined malformed_json record: $LOSSY_ERR" >&2
+  exit 1
+fi
+if STRICT_ERR="$("$TABMETA" classify --model "$MODEL" --corpus "$DAMAGED" 2>&1 >/dev/null)"; then
+  echo "strict classify accepted a truncated record" >&2
+  exit 1
+fi
+if ! grep -q 'line 401' <<<"$STRICT_ERR"; then
+  echo "strict classify did not name line 401: $STRICT_ERR" >&2
+  exit 1
+fi
+
 # Workspace-invariant static analysis (TM-L000..TM-L010, see LINTS.md):
 # unseeded RNG, raw timing outside the obs layer, unsafe without SAFETY
 # comments, metric names that bypass tabmeta_obs::names, stdout printing

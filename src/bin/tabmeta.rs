@@ -189,16 +189,15 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 /// continues.
 fn load_corpus(path: &str, lossy: bool) -> Result<Corpus, String> {
     let file = fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let reader = std::io::BufReader::new(file);
     if lossy {
         let (corpus, report) =
-            Corpus::read_jsonl_lossy(path, reader).map_err(|e| format!("read {path}: {e}"))?;
+            Corpus::read_jsonl_lossy(path, file).map_err(|e| format!("read {path}: {e}"))?;
         if !report.is_clean() {
             eprint!("{}", report.render_text());
         }
         Ok(corpus)
     } else {
-        Corpus::read_jsonl(path, reader).map_err(|e| format!("{e}"))
+        Corpus::read_jsonl(path, file).map_err(|e| format!("{e}"))
     }
 }
 
