@@ -45,6 +45,24 @@ pub fn field_type(field: &str) -> FieldType {
 /// civilians", "Number of patients").
 const AGG_KEYWORDS: [&str; 6] = ["total", "subtotal", "number of", "percent", "overall", "all "];
 
+/// Whether `field` contains an aggregation keyword in any letter case.
+/// The keywords are ASCII and hold no `i` or `k`, the only ASCII letters a
+/// non-ASCII character lowercases to (`İ`, the Kelvin sign), so an ASCII
+/// case-insensitive search finds exactly what a search of
+/// `field.to_lowercase()` finds, without building the lowercase copy. Each
+/// position is compared in full only against the keywords that start with
+/// its letter.
+fn has_agg_keyword(field: &str) -> bool {
+    let bytes = field.as_bytes();
+    (0..bytes.len()).any(|i| {
+        let first = bytes[i].to_ascii_lowercase();
+        AGG_KEYWORDS.iter().any(|k| {
+            k.as_bytes()[0] == first
+                && bytes[i..].get(..k.len()).is_some_and(|w| w.eq_ignore_ascii_case(k.as_bytes()))
+        })
+    })
+}
+
 /// The signature of one line within its table context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LineSignature {
@@ -76,14 +94,17 @@ pub struct LineSignature {
 /// Signatures for all lines of one table (list of field rows).
 pub fn line_signatures(lines: &[Vec<String>]) -> Vec<LineSignature> {
     let width = lines.iter().map(|l| l.len()).max().unwrap_or(0);
+    // Every field's type, classified once for both passes below.
+    let line_types: Vec<Vec<FieldType>> =
+        lines.iter().map(|line| line.iter().map(|f| field_type(f)).collect()).collect();
     // Column-majority types from the lower half — headers live on top, so
     // the bottom rows approximate the data region's type profile.
     let lower_start = lines.len() / 2;
     let mut majority: Vec<FieldType> = Vec::with_capacity(width);
     for col in 0..width {
         let mut counts: Vec<(FieldType, usize)> = Vec::new();
-        for line in &lines[lower_start..] {
-            let ft = line.get(col).map(|f| field_type(f)).unwrap_or(FieldType::Empty);
+        for types in &line_types[lower_start..] {
+            let ft = types.get(col).copied().unwrap_or(FieldType::Empty);
             if ft == FieldType::Empty {
                 continue;
             }
@@ -99,9 +120,9 @@ pub fn line_signatures(lines: &[Vec<String>]) -> Vec<LineSignature> {
 
     lines
         .iter()
+        .zip(&line_types)
         .enumerate()
-        .map(|(index, line)| {
-            let types: Vec<FieldType> = line.iter().map(|f| field_type(f)).collect();
+        .map(|(index, (line, types))| {
             let non_empty: Vec<(usize, FieldType)> =
                 types.iter().copied().enumerate().filter(|(_, t)| *t != FieldType::Empty).collect();
             let n = non_empty.len().max(1) as f32;
@@ -121,8 +142,7 @@ pub fn line_signatures(lines: &[Vec<String>]) -> Vec<LineSignature> {
                 .filter(|(c, _)| line[*c].trim().chars().next().is_some_and(|ch| ch.is_uppercase()))
                 .count();
             let total_len: usize = non_empty.iter().map(|(c, _)| line[*c].trim().len()).sum();
-            let lowered: Vec<String> = line.iter().map(|f| f.trim().to_lowercase()).collect();
-            let has_agg = lowered.iter().any(|f| AGG_KEYWORDS.iter().any(|k| f.contains(k)));
+            let has_agg = line.iter().any(|f| has_agg_keyword(f.trim()));
             let lone_leading_text = types.first() == Some(&FieldType::Text)
                 && types.len() >= 2
                 && types[1..].iter().all(|t| *t == FieldType::Empty);
@@ -196,6 +216,32 @@ mod tests {
         let ls = line_signatures(&lines(&[&["Total civilians", "5"], &["x", "1"]]));
         assert!(ls[0].has_agg_keyword);
         assert!(!ls[1].has_agg_keyword);
+    }
+
+    #[test]
+    fn agg_keyword_search_matches_a_lowercased_search() {
+        for field in [
+            "TOTAL",
+            "Sub-Total",
+            "SubTotal civilians",
+            "Number Of patients",
+            "numberof",
+            "PerCent",
+            "OVERALL",
+            "all",
+            "All persons",
+            "Overall ",
+            "tot al",
+            "İtotal",
+            "\u{212A}total",
+            "ΣTOTAL",
+            "totaļ",
+            "",
+        ] {
+            let lowered = field.trim().to_lowercase();
+            let expected = AGG_KEYWORDS.iter().any(|k| lowered.contains(k));
+            assert_eq!(has_agg_keyword(field.trim()), expected, "{field:?}");
+        }
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! * [`LevelVectorCache`] + [`TermInterner`] — the classify hot path:
 //!   tokenize every cell of a table exactly **once**, resolve each token to
 //!   an interned term vector, and replay the same accumulation order for
-//!   both the Row and Column axis passes. Because a cached term vector is a
-//!   bit-exact copy of what `accumulate` would have added (an embedding
-//!   accumulated into a zero buffer) and the per-level add order is
-//!   unchanged, the cached path is bit-identical to the direct one.
+//!   both the Row and Column axis passes. The interner keeps its term
+//!   vectors in one `f32` arena and its memoized cells' slots in one `u32`
+//!   arena; [`LevelVectorCache::axis_vectors`] writes an axis into one
+//!   [`AxisVectors`] buffer, with a row only for each level that embeds.
+//!   Because a cached term vector is a bit-exact copy of what `accumulate`
+//!   would have added (an embedding accumulated into a zero buffer) and
+//!   the per-level add order is unchanged, the cached path is
+//!   bit-identical to the direct one.
 //! * `TermIndex` — the fine-tuning path: every cell of one table
 //!   tokenized once and its embedding terms resolved once to term ids,
 //!   read through the model on every use because fine-tuning moves term
@@ -76,6 +80,10 @@ pub fn axis_vectors<E: TermEmbedder + ?Sized>(
     (0..table.n_levels(axis)).map(|i| level_vector(table, axis, i, embedder, tokenizer)).collect()
 }
 
+/// Marks a slot of [`TermInterner`] whose term does not embed, and a level
+/// of [`AxisVectors`] with no vector.
+const NO_ROW: u32 = u32::MAX;
+
 /// Memoized term → embedding resolution, shared across many tables.
 ///
 /// The classify hot path sees the same header vocabulary over and over
@@ -85,6 +93,11 @@ pub fn axis_vectors<E: TermEmbedder + ?Sized>(
 /// n-gram composition). In-vocabulary terms take a dense fast path keyed by
 /// [`TermEmbedder::term_id`]; everything else falls back to a string map.
 ///
+/// Storage is flat: every embedding term's vector is one `dim`-wide row of
+/// a single `f32` arena, and every memoized cell's slots are one span of a
+/// single `u32` arena, so a memo hit is one map lookup and no pointer
+/// chasing.
+///
 /// Interner contents never influence *values* — a cached vector is the
 /// bit-exact `embed` result — so reusing one interner across tables and
 /// worker threads' scratch lifetimes cannot change any verdict.
@@ -93,15 +106,24 @@ pub struct TermInterner {
     /// Dense fast path: embedder vocab id → interned slot + 1 (0 = unset).
     by_vocab_id: Vec<u32>,
     /// Fallback for terms without a stable vocab id (OOV, gram-composed).
-    by_str: HashMap<String, u32>,
-    /// Slot → the term's embedding; `None` for terms that do not embed.
-    vectors: Vec<Option<Vec<f32>>>,
-    /// Cell text → its tokens' slots, in tokenization order. Corpora repeat
-    /// cell texts heavily (years, units, shared header vocabulary), and a
-    /// hit here skips the whole tokenize-then-resolve pass for the cell.
-    /// Replaying the identical slot sequence is what makes the memo safe:
-    /// the accumulation the caller performs is unchanged, byte for byte.
-    cell_slots: HashMap<String, Vec<u32>>,
+    by_str: HashMap<Box<str>, u32>,
+    /// Slot → its row of `vectors`, or [`NO_ROW`] for a term that does not
+    /// embed.
+    rows: Vec<u32>,
+    /// Every embedding term's vector, `dim` floats a row, in interning
+    /// order.
+    vectors: Vec<f32>,
+    /// The embedder's width, read when a term is interned.
+    dim: usize,
+    /// Cell text → its tokens' slots, in tokenization order, as a
+    /// `(start, len)` span of `cell_slots`. Corpora repeat cell texts
+    /// heavily (years, units, shared header vocabulary), and a hit here
+    /// skips the whole tokenize-then-resolve pass for the cell. Replaying
+    /// the identical slot sequence is what makes the memo safe: the
+    /// accumulation the caller performs is unchanged, byte for byte.
+    cells: HashMap<Box<str>, (u32, u32)>,
+    /// Every memoized cell's slots, back to back.
+    cell_slots: Vec<u32>,
 }
 
 impl TermInterner {
@@ -129,14 +151,27 @@ impl TermInterner {
                 return slot;
             }
             let slot = self.intern(embedder, term);
-            self.by_str.insert(term.to_string(), slot);
+            self.by_str.insert(term.into(), slot);
             slot
         }
     }
 
+    /// Give `term` the next slot, appending its vector to the arena when it
+    /// embeds. `embed` is an accumulation into zeros, so accumulating into
+    /// a zeroed arena row stores the same bits.
     fn intern<E: TermEmbedder + ?Sized>(&mut self, embedder: &E, term: &str) -> u32 {
-        let slot = self.vectors.len() as u32;
-        self.vectors.push(embedder.embed(term));
+        let slot = self.rows.len() as u32;
+        self.dim = embedder.dim();
+        let start = self.vectors.len();
+        self.vectors.resize(start + self.dim, 0.0);
+        let row = if embedder.accumulate(term, &mut self.vectors[start..]) {
+            // A zero-width model keeps every row empty, at row 0.
+            (start / self.dim.max(1)) as u32
+        } else {
+            self.vectors.truncate(start);
+            NO_ROW
+        };
+        self.rows.push(row);
         slot
     }
 
@@ -153,16 +188,22 @@ impl TermInterner {
         text: &str,
         token_buf: &mut Vec<Token>,
     ) -> &[u32] {
-        if !self.cell_slots.contains_key(text) {
-            token_buf.clear();
-            tokenizer.tokenize_into(text, token_buf);
-            let mut slots = Vec::with_capacity(token_buf.len());
-            for tok in token_buf.iter() {
-                slots.push(self.resolve(embedder, &tok.text));
+        let (start, len) = match self.cells.get(text) {
+            Some(&span) => span,
+            None => {
+                token_buf.clear();
+                tokenizer.tokenize_into(text, token_buf);
+                let start = self.cell_slots.len();
+                for tok in token_buf.iter() {
+                    let slot = self.resolve(embedder, &tok.text);
+                    self.cell_slots.push(slot);
+                }
+                let span = (start as u32, (self.cell_slots.len() - start) as u32);
+                self.cells.insert(text.into(), span);
+                span
             }
-            self.cell_slots.insert(text.to_string(), slots);
-        }
-        &self.cell_slots[text]
+        };
+        &self.cell_slots[start as usize..(start + len) as usize]
     }
 
     /// The embedding behind a slot returned by [`resolve`], or `None` for a
@@ -171,23 +212,77 @@ impl TermInterner {
     /// [`resolve`]: TermInterner::resolve
     #[inline]
     pub fn vector(&self, slot: u32) -> Option<&[f32]> {
-        self.vectors[slot as usize].as_deref()
+        match self.rows[slot as usize] {
+            NO_ROW => None,
+            row => Some(&self.vectors[row as usize * self.dim..][..self.dim]),
+        }
     }
 
     /// Number of distinct terms interned so far.
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.rows.len()
     }
 
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.rows.is_empty()
     }
 
     /// Total memo entries held: interned terms plus memoized cell texts.
     /// The classify scratch pool uses this to retire oversized scratches.
     pub fn memo_entries(&self) -> usize {
-        self.vectors.len() + self.cell_slots.len()
+        self.rows.len() + self.cells.len()
+    }
+}
+
+/// The aggregated vectors of one axis (Def. 8), index-aligned with its
+/// levels: one buffer holding a `dim`-wide row for each level that has an
+/// embedding term, and a level → row index. Blank and OOV levels own no
+/// row, so they cost no `dim` floats.
+pub struct AxisVectors {
+    dim: usize,
+    /// Level → its row of `data`, or [`NO_ROW`].
+    rows: Vec<u32>,
+    data: Vec<f32>,
+}
+
+impl AxisVectors {
+    /// Number of levels along the axis.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the axis has no levels.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The aggregated vector of level `i`; `None` for a blank or OOV level,
+    /// or one dropped by [`drop_non_finite`].
+    ///
+    /// # Panics
+    /// Panics if `i` is not a level of the axis.
+    ///
+    /// [`drop_non_finite`]: AxisVectors::drop_non_finite
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&[f32]> {
+        match self.rows[i] {
+            NO_ROW => None,
+            row => Some(&self.data[row as usize * self.dim..][..self.dim]),
+        }
+    }
+
+    /// Demote every level whose vector has a NaN or infinite component to
+    /// a level without one, and report whether any was.
+    pub fn drop_non_finite(&mut self) -> bool {
+        let mut dropped = false;
+        for i in 0..self.rows.len() {
+            if self.get(i).is_some_and(|v| !v.iter().all(|x| x.is_finite())) {
+                self.rows[i] = NO_ROW;
+                dropped = true;
+            }
+        }
+        dropped
     }
 }
 
@@ -247,44 +342,51 @@ impl LevelVectorCache {
         }
     }
 
-    /// The aggregated vector of one level, bit-identical to
-    /// [`level_vector`]: cells are replayed in the same order
-    /// (left-to-right for rows, top-to-bottom for columns) and each token's
-    /// cached vector is added in tokenization order. Allocation is deferred
-    /// to the first embeddable token, so blank/OOV levels allocate nothing.
-    pub fn level_vector(
-        &self,
-        axis: Axis,
-        index: usize,
-        interner: &TermInterner,
-        dim: usize,
-    ) -> Option<Vec<f32>> {
-        let mut out: Option<Vec<f32>> = None;
+    /// The interner slots of one level's cells, one slice a cell, in level
+    /// order: left to right along a row, top to bottom down a column.
+    fn level_cells(&self, axis: Axis, index: usize) -> impl Iterator<Item = &[u32]> {
         let (n_cells, stride, base) = match axis {
             Axis::Row => (self.n_cols, 1, index * self.n_cols),
             Axis::Column => (self.n_rows, self.n_cols, index),
         };
-        for i in 0..n_cells {
+        (0..n_cells).map(move |i| {
             let (start, len) = self.spans[base + i * stride];
-            for slot in &self.terms[start as usize..(start + len) as usize] {
-                if let Some(v) = interner.vector(*slot) {
-                    let buf = out.get_or_insert_with(|| vec![0.0f32; dim]);
-                    tabmeta_linalg::add_assign(buf, v);
+            &self.terms[start as usize..(start + len) as usize]
+        })
+    }
+
+    /// Aggregated vectors for every level along `axis`, bit-identical to
+    /// [`axis_vectors`] level by level: a level's row starts at zeros and
+    /// each cached term vector is added in the direct path's order. A
+    /// first pass finds the levels with an embedding term, so the buffer
+    /// is allocated once, with no row for a blank or OOV level.
+    pub fn axis_vectors(&self, axis: Axis, interner: &TermInterner, dim: usize) -> AxisVectors {
+        let n = self.n_levels(axis);
+        let mut rows = Vec::with_capacity(n);
+        let mut n_vectors = 0u32;
+        for i in 0..n {
+            if self.level_cells(axis, i).flatten().any(|&s| interner.vector(s).is_some()) {
+                rows.push(n_vectors);
+                n_vectors += 1;
+            } else {
+                rows.push(NO_ROW);
+            }
+        }
+        let mut data = vec![0.0f32; n_vectors as usize * dim];
+        for (i, &row) in rows.iter().enumerate() {
+            if row == NO_ROW {
+                continue;
+            }
+            let out = &mut data[row as usize * dim..][..dim];
+            for slots in self.level_cells(axis, i) {
+                for &slot in slots {
+                    if let Some(v) = interner.vector(slot) {
+                        tabmeta_linalg::add_assign(out, v);
+                    }
                 }
             }
         }
-        out
-    }
-
-    /// Aggregated vectors for every level along `axis` (index-aligned),
-    /// mirroring [`axis_vectors`].
-    pub fn axis_vectors(
-        &self,
-        axis: Axis,
-        interner: &TermInterner,
-        dim: usize,
-    ) -> Vec<Option<Vec<f32>>> {
-        (0..self.n_levels(axis)).map(|i| self.level_vector(axis, i, interner, dim)).collect()
+        AxisVectors { dim, rows, data }
     }
 }
 
@@ -564,22 +666,30 @@ mod tests {
         let cache = LevelVectorCache::build(&t, &e, &tok, &mut interner, &mut buf);
         for axis in [Axis::Row, Axis::Column] {
             assert_eq!(cache.n_levels(axis), t.n_levels(axis));
-            for i in 0..t.n_levels(axis) {
-                let direct = level_vector(&t, axis, i, &e, &tok);
-                let cached = cache.level_vector(axis, i, &interner, e.dim());
-                match (&direct, &cached) {
-                    (Some(d), Some(c)) => {
-                        let db: Vec<u32> = d.iter().map(|x| x.to_bits()).collect();
-                        let cb: Vec<u32> = c.iter().map(|x| x.to_bits()).collect();
-                        assert_eq!(db, cb, "{axis:?} level {i}");
-                    }
-                    (None, None) => {}
-                    _ => panic!("{axis:?} level {i}: {direct:?} vs {cached:?}"),
-                }
+            let direct = axis_vectors(&t, axis, &e, &tok);
+            let cached = cache.axis_vectors(axis, &interner, e.dim());
+            assert_eq!(cached.len(), direct.len());
+            for (i, d) in direct.iter().enumerate() {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(cached.get(i).map(bits), d.as_deref().map(bits), "{axis:?} level {i}");
             }
-            let direct_axis = axis_vectors(&t, axis, &e, &tok);
-            assert_eq!(cache.axis_vectors(axis, &interner, e.dim()), direct_axis);
         }
+    }
+
+    #[test]
+    fn non_finite_levels_are_dropped_in_place() {
+        let mut e = embedder();
+        e.map.insert("huge".into(), vec![f32::MAX, 0.0]);
+        let t = Table::from_strings(1, &[&["huge huge", "age"], &["sex", ""]]);
+        let tok = Tokenizer::default();
+        let mut interner = TermInterner::new();
+        let cache = LevelVectorCache::build(&t, &e, &tok, &mut interner, &mut Vec::new());
+        let mut rows = cache.axis_vectors(Axis::Row, &interner, e.dim());
+        assert!(rows.get(0).is_some_and(|v| v[0].is_infinite()), "f32::MAX twice overflows");
+        assert!(rows.drop_non_finite());
+        assert!(rows.get(0).is_none());
+        assert_eq!(rows.get(1), Some(&[0.5f32, 0.5][..]));
+        assert!(!rows.drop_non_finite(), "nothing left to drop");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * per-level [`LevelPairStats`] — `Δ_{(k−1)MDE,kMDE}` and `Δ_{kMDE,DE}`,
 //!   the numbers the paper prints per corpus per level.
 
-use crate::aggregate::{LevelVectorCache, TermInterner};
+use crate::aggregate::{AxisVectors, LevelVectorCache, TermInterner};
 use crate::bootstrap::WeakLabels;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -178,14 +178,14 @@ impl AxisAccumulator {
 
     pub(crate) fn observe_table(
         &mut self,
-        vectors: &[Option<Vec<f32>>],
+        vectors: &AxisVectors,
         meta_idx: &[usize],
         data_idx: &[usize],
         options: &CentroidOptions,
         rng: &mut StdRng,
     ) {
-        let meta: Vec<&Vec<f32>> = meta_idx.iter().filter_map(|&i| vectors[i].as_ref()).collect();
-        let data: Vec<&Vec<f32>> = data_idx.iter().filter_map(|&i| vectors[i].as_ref()).collect();
+        let meta: Vec<&[f32]> = meta_idx.iter().filter_map(|&i| vectors.get(i)).collect();
+        let data: Vec<&[f32]> = data_idx.iter().filter_map(|&i| vectors.get(i)).collect();
 
         for v in &meta {
             tabmeta_linalg::add_assign(&mut self.meta_sum, v);
@@ -193,11 +193,11 @@ impl AxisAccumulator {
             // Reservoir sampling for cross-table metadata pairs.
             self.seen_meta += 1;
             if self.reservoir.len() < options.reservoir {
-                self.reservoir.push((*v).clone());
+                self.reservoir.push(v.to_vec());
             } else {
                 let j = rng.random_range(0..self.seen_meta);
                 if j < options.reservoir {
-                    self.reservoir[j] = (*v).clone();
+                    self.reservoir[j] = v.to_vec();
                 }
             }
         }

@@ -488,20 +488,9 @@ impl Classifier {
         // Sanitize aggregates: a vector with NaN/∞ components (numeric
         // overflow upstream) would poison every angle test downstream, so
         // it is demoted to a blank level here.
-        let mut non_finite = false;
-        let vectors: Vec<Option<Vec<f32>>> = cache
-            .axis_vectors(axis, &scratch.interner, embedder.dim())
-            .into_iter()
-            .map(|v| match v {
-                Some(vec) if vec.iter().all(|x| x.is_finite()) => Some(vec),
-                Some(_) => {
-                    non_finite = true;
-                    None
-                }
-                None => None,
-            })
-            .collect();
-        if vectors.iter().all(Option::is_none) {
+        let mut vectors = cache.axis_vectors(axis, &scratch.interner, embedder.dim());
+        let non_finite = vectors.drop_non_finite();
+        if (0..n).all(|i| vectors.get(i).is_none()) {
             let reason =
                 if non_finite { DegradeReason::NonFinite } else { DegradeReason::NoSignal };
             return positional_axis(table, axis, reason, trace);
@@ -517,8 +506,8 @@ impl Classifier {
             // reference; metadata depth = leading run of meta-leaning
             // levels. No pairwise angles anywhere.
             let mut depth: u8 = 0;
-            for (i, maybe_v) in vectors.iter().enumerate() {
-                let Some(v) = maybe_v else {
+            for i in 0..n {
+                let Some(v) = vectors.get(i) else {
                     if let Some(t) = trace.as_deref_mut() {
                         t.push(TraceStep {
                             axis,
@@ -576,8 +565,8 @@ impl Classifier {
 
         let mut depth: u8 = 0;
         let mut boundary = 0usize; // first non-metadata level
-        for (i, maybe_v) in vectors.iter().enumerate() {
-            let Some(v) = maybe_v else {
+        for i in 0..n {
+            let Some(v) = vectors.get(i) else {
                 // Blank/OOV level ends the metadata run.
                 boundary = i;
                 if let Some(t) = trace.as_deref_mut() {
@@ -615,7 +604,7 @@ impl Classifier {
                 boundary = 1;
                 continue;
             }
-            let Some(prev) = vectors[i - 1].as_ref() else {
+            let Some(prev) = vectors.get(i - 1) else {
                 // Unreachable in practice (the walk breaks at the first
                 // None), but a missing predecessor must end the run, not
                 // the process.
@@ -680,17 +669,17 @@ impl Classifier {
         // CMD extension: rows past the boundary that look like section
         // headers (sparse + metadata-flavoured aggregate).
         if axis == Axis::Row && self.config.detect_cmd {
-            for i in boundary.max(1)..n {
-                let Some(v) = &vectors[i] else { continue };
+            for (i, label) in labels.iter_mut().enumerate().skip(boundary.max(1)) {
+                let Some(v) = vectors.get(i) else { continue };
                 if table.blank_fraction(axis, i) < self.config.cmd_blank_threshold {
                     continue;
                 }
                 let (to_meta, to_data) =
                     memo.ref_angles(i, v, &centroids.meta_ref, &centroids.data_ref, ref_norms);
                 if to_meta < to_data + self.config.cmd_ref_tolerance_deg
-                    && labels[i] == LevelLabel::Data
+                    && *label == LevelLabel::Data
                 {
-                    labels[i] = LevelLabel::Cmd;
+                    *label = LevelLabel::Cmd;
                     if let Some(t) = trace.as_deref_mut() {
                         t.push(TraceStep {
                             axis,

@@ -54,7 +54,7 @@ pub mod persist;
 pub mod pipeline;
 pub mod stream;
 
-pub use aggregate::{LevelVectorCache, TermInterner};
+pub use aggregate::{AxisVectors, LevelVectorCache, TermInterner};
 pub use bootstrap::{BootstrapLabeler, WeakLabel, WeakLabels};
 pub use centroid::{AxisCentroids, CentroidModel, LevelPairStats};
 pub use checkpoint::{

@@ -167,10 +167,12 @@ pub struct TrainSummary {
 /// the term interner and cell-text memo amortize tokenization and
 /// embedding lookups across every table they have ever seen. Dropping
 /// that state between `classify_corpus` calls (or between per-table
-/// `classify` calls) re-pays the whole vocabulary warmup per call, which
-/// dominates the batch profile. The pool keeps scratches alive across
-/// calls; scratch contents never influence verdicts (the bit-identity
-/// property suite pins this), so recycling is invisible to callers.
+/// `classify` calls) re-pays the vocabulary warmup per call, and a cold
+/// scratch classifies a table several times slower than a warm one
+/// (perfbench's `core.classify_cold_us` against `core.table_p50_us`). The
+/// pool keeps scratches alive across calls; scratch contents never
+/// influence verdicts (the bit-identity property suite pins this), so
+/// recycling is invisible to callers.
 ///
 /// Never serialized and never cloned with contents — a cloned or
 /// deserialized pipeline starts with a cold pool.

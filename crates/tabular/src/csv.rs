@@ -68,48 +68,67 @@ impl std::error::Error for CsvError {}
 /// rectangular (real-world CSVs from table extractors are frequently
 /// ragged).
 pub fn parse_csv(input: &str) -> Result<Vec<Vec<String>>, CsvError> {
+    let bytes = input.as_bytes();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut field = String::new();
     let mut row: Vec<String> = Vec::new();
-    let mut chars = input.chars().peekable();
     let mut in_quotes = false;
     let mut line = 1usize;
     let mut quote_start_line = 1usize;
-
-    while let Some(c) = chars.next() {
+    // Every delimiter is ASCII, so `i` always sits on a char boundary and
+    // each run between delimiters is copied in one piece.
+    let run_end = |from: usize, stop: fn(u8) -> bool| {
+        bytes[from..].iter().position(|&b| stop(b)).map_or(bytes.len(), |n| from + n)
+    };
+    let mut i = 0;
+    while i < bytes.len() {
         if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
+            let end = run_end(i, |b| b == b'"' || b == b'\n');
+            field.push_str(&input[i..end]);
+            i = end;
+            match bytes.get(i) {
+                Some(b'"') if bytes.get(i + 1) == Some(&b'"') => {
+                    field.push('"');
+                    i += 2;
                 }
-                '\n' => {
+                Some(b'"') => {
+                    in_quotes = false;
+                    i += 1;
+                }
+                Some(_) => {
                     line += 1;
-                    field.push(c);
+                    field.push('\n');
+                    i += 1;
                 }
-                _ => field.push(c),
+                None => {}
             }
             continue;
         }
-        match c {
-            '"' if field.is_empty() => {
+        match bytes[i] {
+            b'"' if field.is_empty() => {
                 in_quotes = true;
                 quote_start_line = line;
+                i += 1;
             }
-            ',' => {
+            b',' => {
                 row.push(std::mem::take(&mut field));
+                i += 1;
             }
-            '\r' => { /* swallow; \n ends the row */ }
-            '\n' => {
+            b'\r' => i += 1, // swallow; \n ends the row
+            b'\n' => {
                 line += 1;
                 row.push(std::mem::take(&mut field));
-                rows.push(std::mem::take(&mut row));
+                let width = row.len();
+                rows.push(std::mem::replace(&mut row, Vec::with_capacity(width)));
+                i += 1;
             }
-            _ => field.push(c),
+            _ => {
+                // The field is not empty after this byte, so a quote later
+                // in the run is literal.
+                let end = run_end(i + 1, |b| matches!(b, b',' | b'\r' | b'\n'));
+                field.push_str(&input[i..end]);
+                i = end;
+            }
         }
     }
     if in_quotes {

@@ -26,9 +26,11 @@
 //!   records across all its files.
 //!
 //! Quarantined raw records can optionally be spilled to a sidecar file
-//! per shard (`quarantine_dir/shard-<n>.bad`) via [`DiskIo::atomic_write`]
-//! — a second injectable write surface: a rejected JSONL line as read, a
-//! malformed CSV file as its name and parse error. Sidecar write failures
+//! per shard (`quarantine_dir/shard-<n>.bad`, holding the records
+//! quarantined while shard `n` was read) via [`DiskIo::atomic_write`] — a
+//! second injectable write surface. Every quarantined record gets one
+//! line: a rejected JSONL line as read, and a rejected CSV file or a
+//! failed open or read as `<file>: <detail>`. Sidecar write failures
 //! are themselves classified and counted but never un-quarantine a
 //! record, so conservation survives ENOSPC mid-quarantine-write and torn
 //! renames of the sidecar temp file.
@@ -331,14 +333,16 @@ impl ShardCursor<'_> {
                 None => break,
             }
         }
+        // Before the index moves: a sidecar is named after the shard its
+        // records were read with, and records read after the last shard
+        // take the next index.
+        self.flush_sidecar();
         if tables.is_empty() {
-            self.flush_sidecar();
             return None;
         }
         let shard = Shard { index: self.shard_index, tables, rows };
         self.shard_index += 1;
         tabmeta_obs::global().counter(tabmeta_obs::names::STREAM_SHARDS).inc();
-        self.flush_sidecar();
         Some(shard)
     }
 
@@ -351,9 +355,9 @@ impl ShardCursor<'_> {
             if let Some(records) = self.current.as_mut() {
                 match records.next_record() {
                     Ok(Some(record)) => {
-                        let sidecar = (spill && record.is_err())
+                        let raw = (spill && record.is_err())
                             .then(|| String::from_utf8_lossy(records.raw()).trim_end().to_string());
-                        match self.tally(record, sidecar) {
+                        match self.tally(record, raw) {
                             Some(table) => return Some(table),
                             None => continue,
                         }
@@ -376,13 +380,7 @@ impl ShardCursor<'_> {
                         continue;
                     }
                 };
-                let sidecar = match &record {
-                    Err((RejectReason::MalformedCsv, detail, file)) if spill => {
-                        Some(format!("{file}: {detail}"))
-                    }
-                    _ => None,
-                };
-                if let Some(table) = self.tally(record, sidecar) {
+                if let Some(table) = self.tally(record, None) {
                     return Some(table);
                 }
             } else {
@@ -410,14 +408,15 @@ impl ShardCursor<'_> {
 
     /// The one quarantine step for every record of the pass, either
     /// format: number it after the records before it, then hand back its
-    /// table or quarantine it, buffering its `sidecar` line for this
-    /// shard's sidecar file.
-    fn tally(
-        &mut self,
-        record: Result<Table, Rejection>,
-        sidecar: Option<String>,
-    ) -> Option<Table> {
-        self.pending_bad.extend(sidecar);
+    /// table or quarantine it. A quarantined record buffers one line for
+    /// this shard's sidecar file when there is one: `raw` (a JSONL line as
+    /// read) or else `<file>: <detail>`.
+    fn tally(&mut self, record: Result<Table, Rejection>, raw: Option<String>) -> Option<Table> {
+        if let Err((_, detail, file)) = &record {
+            if self.reader.options.quarantine_dir.is_some() {
+                self.pending_bad.push(raw.unwrap_or_else(|| format!("{file}: {detail}")));
+            }
+        }
         self.report.tally(self.report.total + 1, record)
     }
 
@@ -612,6 +611,75 @@ mod tests {
         assert!(spilled[0].starts_with("shard-") && spilled[0].ends_with(".bad"));
         let body = std::fs::read_to_string(qdir.join(&spilled[0])).unwrap();
         assert!(body.contains("broken"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Run one pass with a quarantine dir and return the report and each
+    /// sidecar file's name and lines, sorted by name.
+    fn spill_pass(dir: &Path, shard_rows: usize) -> (QuarantineReport, Vec<(String, Vec<String>)>) {
+        let qdir = dir.join("quarantine");
+        let options = StreamOptions { shard_rows, quarantine_dir: Some(qdir.clone()) };
+        let reader = ShardReader::open(dir, options, Arc::new(RealDisk)).unwrap();
+        let mut cursor = reader.pass();
+        while cursor.next_shard(shard_rows).is_some() {}
+        let mut files: Vec<(String, Vec<String>)> = std::fs::read_dir(&qdir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let body = std::fs::read_to_string(&path).unwrap();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, body.lines().map(str::to_string).collect())
+            })
+            .collect();
+        files.sort();
+        (cursor.finish(), files)
+    }
+
+    #[test]
+    fn sidecars_are_named_after_their_shards() {
+        // Shard 0 reads a.jsonl's bad line and its table; the bad line of
+        // b.jsonl comes after the last shard, so it belongs to shard 1.
+        let dir = temp_dir("sidecar-names");
+        let mut corpus = Corpus::new("a");
+        corpus.tables.push(tiny_table(0));
+        let mut a = b"{\"id\": broken a\n".to_vec();
+        corpus.write_jsonl(&mut a).unwrap();
+        std::fs::write(dir.join("a.jsonl"), a).unwrap();
+        std::fs::write(dir.join("b.jsonl"), b"{\"id\": broken b\n").unwrap();
+        let (report, files) = spill_pass(&dir, 3);
+        assert_eq!((report.accepted, report.quarantined()), (1, 2));
+        let expected = [("shard-00000.bad", "broken a"), ("shard-00001.bad", "broken b")];
+        assert_eq!(files.len(), expected.len(), "{files:?}");
+        for ((name, lines), (want_name, want_text)) in files.iter().zip(expected) {
+            assert_eq!(name, want_name);
+            assert_eq!(lines.len(), 1, "{name}: {lines:?}");
+            assert!(lines[0].contains(want_text), "{name}: {lines:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_quarantined_record_gets_a_sidecar_line() {
+        let dir = temp_dir("sidecar-csv");
+        std::fs::write(dir.join("a_latin1.csv"), b"caf\xe9,year\n1,2\n").unwrap();
+        std::fs::write(dir.join("b_broken.csv"), "\"unterminated,1\n").unwrap();
+        std::fs::write(dir.join("c_good.csv"), "h1,h2\n1,2\n").unwrap();
+        let (report, files) = spill_pass(&dir, 100);
+        assert_eq!(report.count_for(RejectReason::InvalidUtf8), 1);
+        assert_eq!(report.count_for(RejectReason::MalformedCsv), 1);
+        assert_eq!(report.quarantined(), 2);
+        let lines: Vec<&String> = files.iter().flat_map(|(_, lines)| lines).collect();
+        assert_eq!(lines.len(), 2, "{files:?}");
+        assert!(lines[0].starts_with("a_latin1.csv: "), "{lines:?}");
+        assert!(lines[1].starts_with("b_broken.csv: "), "{lines:?}");
+        // A directory with a data file's name fails its read: one `io`
+        // record, and one more line.
+        std::fs::create_dir(dir.join("d_dir.csv")).unwrap();
+        let (report, files) = spill_pass(&dir, 100);
+        assert_eq!((report.quarantined(), report.count_for(RejectReason::Io)), (3, 1));
+        let lines: Vec<&String> = files.iter().flat_map(|(_, lines)| lines).collect();
+        assert_eq!(lines.len(), 3, "{files:?}");
+        assert!(lines[2].starts_with("d_dir.csv: read failed"), "{lines:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
